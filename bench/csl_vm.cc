@@ -8,11 +8,12 @@
 // when its import closure's compiled units are already cached? Three
 // configurations, each compiling all 800 entries:
 //
-//   interp    — tree-walking interpreter (the reference engine); re-parses
-//               and re-walks every file per entry, no cross-entry reuse.
-//   vm-cold   — bytecode VM, fresh unit cache per entry and output
-//               memoization ablated: parse + codegen + execute every time,
-//               the no-cache worst case.
+//   interp    — tree-walking reference interpreter (tests/reference/),
+//               through the same compile pipeline; re-parses and re-walks
+//               every file per entry, no cross-entry reuse.
+//   vm-cold   — bytecode VM, a fresh compiler (and so a fresh unit cache)
+//               per entry: closure-digest walk, then parse + codegen +
+//               execute every time, the no-cache worst case.
 //   vm-warm   — bytecode VM, one shared unit cache across entries and
 //               rounds: steady-state Sandcastle. Every unit hash-hits, and
 //               each entry's whole validated output replays from the
@@ -32,6 +33,7 @@
 #include "src/obs/metrics.h"
 #include "src/util/strings.h"
 #include "src/util/table.h"
+#include "tests/reference/interp.h"
 
 using namespace configerator;
 
@@ -43,13 +45,14 @@ double Seconds(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// Compiles every entry once; returns elapsed seconds. Aborts the process on
-// any compile error — the synthetic repo is known-good, so an error here
-// means the engine under test is broken, not the corpus.
-double CompileAll(ConfigCompiler& compiler, size_t* configs_out) {
+// Compiles every entry once with `compile`; returns elapsed seconds. Aborts
+// the process on any compile error — the synthetic repo is known-good, so an
+// error here means the engine under test is broken, not the corpus.
+template <typename CompileFn>
+double CompileAll(CompileFn&& compile, size_t* configs_out) {
   auto start = std::chrono::steady_clock::now();
   for (int e = 0; e < SyntheticRepo::kEntries; ++e) {
-    auto output = compiler.Compile(SyntheticRepo::EntryPath(e));
+    auto output = compile(SyntheticRepo::EntryPath(e));
     if (!output.ok()) {
       std::fprintf(stderr, "FATAL: %s failed: %s\n",
                    SyntheticRepo::EntryPath(e).c_str(),
@@ -74,30 +77,21 @@ int main() {
   size_t configs = 0;
 
   // Interpreter baseline.
-  CompilerOptions interp_options;
-  interp_options.engine = CompilerOptions::Engine::kInterpreter;
-  ConfigCompiler interp_compiler(reader, interp_options);
-  double interp_s = CompileAll(interp_compiler, &configs);
+  double interp_s = CompileAll(
+      [&reader](const std::string& entry) {
+        return CompileWithReferenceInterpreter(reader, entry);
+      },
+      &configs);
 
   // VM, cold cache: a fresh compiler (and therefore a fresh owned unit
-  // cache) per entry with output memoization ablated, so every file is
-  // parsed, compiled, and executed every time — the no-cache worst case.
-  CompilerOptions cold_options;
-  cold_options.memoize_outputs = false;
+  // cache) per entry, so every file is parsed, compiled, and executed every
+  // time — the no-cache worst case.
   size_t cold_configs = 0;
-  auto cold_start = std::chrono::steady_clock::now();
-  for (int e = 0; e < SyntheticRepo::kEntries; ++e) {
-    ConfigCompiler cold_compiler(reader, cold_options);
-    auto output = cold_compiler.Compile(SyntheticRepo::EntryPath(e));
-    if (!output.ok()) {
-      std::fprintf(stderr, "FATAL: %s failed: %s\n",
-                   SyntheticRepo::EntryPath(e).c_str(),
-                   output.status().ToString().c_str());
-      std::abort();
-    }
-    cold_configs += output->configs.size();
-  }
-  double vm_cold_s = Seconds(cold_start);
+  double vm_cold_s = CompileAll(
+      [&reader](const std::string& entry) {
+        return ConfigCompiler(reader).Compile(entry);
+      },
+      &cold_configs);
 
   // VM, warm cache: one shared cache. The first sweep populates it (entries
   // themselves miss once); the measured sweep is pure steady state.
@@ -107,13 +101,16 @@ int main() {
   warm_options.unit_cache = &cache;
   warm_options.metrics = &metrics;
   ConfigCompiler warm_compiler(reader, warm_options);
+  auto warm_compile = [&warm_compiler](const std::string& entry) {
+    return warm_compiler.Compile(entry);
+  };
   size_t warmup_configs = 0;
-  CompileAll(warm_compiler, &warmup_configs);
+  CompileAll(warm_compile, &warmup_configs);
   uint64_t hits_before = metrics.GetCounter("csl.unit_cache.hits")->value();
   uint64_t out_hits_before =
       metrics.GetCounter("csl.output_cache.hits")->value();
   size_t warm_configs = 0;
-  double vm_warm_s = CompileAll(warm_compiler, &warm_configs);
+  double vm_warm_s = CompileAll(warm_compile, &warm_configs);
   uint64_t warm_hits =
       metrics.GetCounter("csl.unit_cache.hits")->value() - hits_before;
   uint64_t warm_output_hits =

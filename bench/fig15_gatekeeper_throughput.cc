@@ -1,8 +1,10 @@
 // Figure 15: Gatekeeper check throughput. The paper reports billions of
 // checks per second across the site (hundreds of thousands of frontend
 // servers), consuming a significant share of frontend CPU. This bench
-// measures single-core gk_check() throughput with google-benchmark across
-// project shapes, ablates the cost-based restraint ordering, runs a
+// measures single-core GatekeeperRuntime::Check() throughput with
+// google-benchmark across project shapes, ablates the cost-based restraint
+// ordering (single-thread loops fold learned stats into a reordered snapshot
+// with Rebuild() every 1024 checks), runs a
 // multithreaded shared-snapshot sweep (with and without live config churn),
 // and then extrapolates to the paper's fleet scale.
 //
@@ -17,10 +19,10 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <thread>
 #include <vector>
 
-#include "src/gatekeeper/project.h"
 #include "src/gatekeeper/runtime.h"
 #include "src/obs/observability.h"
 #include "src/util/strings.h"
@@ -45,13 +47,10 @@ UserContext MakeUser(int64_t id) {
   return user;
 }
 
-GatekeeperProject SimpleProject() {
-  auto config = Json::Parse(R"({
-    "project": "Simple",
-    "rules": [{"restraints": [{"type": "employee"}], "pass_probability": 1.0}]
-  })");
-  return std::move(GatekeeperProject::FromJson(*config)).value();
-}
+constexpr char kSimpleJson[] = R"({
+  "project": "Simple",
+  "rules": [{"restraints": [{"type": "employee"}], "pass_probability": 1.0}]
+})";
 
 // The Figure 5 shape: several if-statements, each a conjunction.
 std::string DnfJson(int step) {
@@ -74,25 +73,36 @@ std::string DnfJson(int step) {
                    100 + step % 2);
 }
 
-GatekeeperProject DnfProject() {
-  auto config = Json::Parse(DnfJson(0));
-  return std::move(GatekeeperProject::FromJson(*config)).value();
-}
-
 // An expensive laser() restraint first in config order — exactly what the
 // cost-based optimizer is for: it learns to test the cheap, usually-false
 // country restraint before the store lookup.
-GatekeeperProject LaserHeavyProject() {
-  auto config = Json::Parse(R"({
-    "project": "LaserHeavy",
-    "rules": [
-      {"restraints": [{"type": "laser",
-                       "params": {"project": "Trend", "threshold": 0.5}},
-                      {"type": "country", "params": {"countries": ["JP"]}}],
-       "pass_probability": 1.0}
-    ]
-  })");
-  return std::move(GatekeeperProject::FromJson(*config)).value();
+constexpr char kLaserHeavyJson[] = R"({
+  "project": "LaserHeavy",
+  "rules": [
+    {"restraints": [{"type": "laser",
+                     "params": {"project": "Trend", "threshold": 0.5}},
+                    {"type": "country", "params": {"countries": ["JP"]}}],
+     "pass_probability": 1.0}
+  ]
+})";
+
+// Single-thread loops fold the learned restraint statistics into a
+// reordered snapshot this often (the runtime's epoch job).
+constexpr int64_t kRebuildInterval = 1024;
+
+// A runtime serving the one project in `json`; aborts on a bad config, since
+// the bench's projects are known-good.
+std::unique_ptr<GatekeeperRuntime> RuntimeWith(const std::string& json,
+                                               const LaserStore* laser) {
+  auto runtime = std::make_unique<GatekeeperRuntime>(laser);
+  auto config = Json::Parse(json);
+  Status status = config.ok() ? runtime->LoadProject(*config) : config.status();
+  if (!status.ok()) {
+    std::fprintf(stderr, "FATAL: bench project rejected: %s\n",
+                 status.ToString().c_str());
+    std::abort();
+  }
+  return runtime;
 }
 
 LaserStore* SharedLaser() {
@@ -106,35 +116,50 @@ LaserStore* SharedLaser() {
   return laser;
 }
 
-void BM_CheckSimpleProject(benchmark::State& state) {
-  GatekeeperProject project = SimpleProject();
+// google-benchmark row: checks `project` for consecutive user ids with a
+// Rebuild() every kRebuildInterval checks.
+void RunCheckRow(benchmark::State& state, GatekeeperRuntime& runtime,
+                 const std::string& project) {
   int64_t id = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(project.Check(MakeUser(id++), nullptr));
+    benchmark::DoNotOptimize(runtime.Check(project, MakeUser(id)));
+    if (++id % kRebuildInterval == 0) {
+      runtime.Rebuild();
+    }
   }
   state.SetItemsProcessed(state.iterations());
+}
+
+// Checks `project` for user ids [0, n) with a Rebuild() every
+// kRebuildInterval checks; returns how many passed.
+int64_t CheckUsers(GatekeeperRuntime& runtime, const std::string& project,
+                   int64_t n) {
+  int64_t passed = 0;
+  for (int64_t id = 0; id < n; ++id) {
+    passed += runtime.Check(project, MakeUser(id)) ? 1 : 0;
+    if ((id + 1) % kRebuildInterval == 0) {
+      runtime.Rebuild();
+    }
+  }
+  return passed;
+}
+
+void BM_CheckSimpleProject(benchmark::State& state) {
+  auto runtime = RuntimeWith(kSimpleJson, nullptr);
+  RunCheckRow(state, *runtime, "Simple");
 }
 BENCHMARK(BM_CheckSimpleProject);
 
 void BM_CheckDnfProject(benchmark::State& state) {
-  GatekeeperProject project = DnfProject();
-  int64_t id = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(project.Check(MakeUser(id++), nullptr));
-  }
-  state.SetItemsProcessed(state.iterations());
+  auto runtime = RuntimeWith(DnfJson(0), nullptr);
+  RunCheckRow(state, *runtime, "Dnf");
 }
 BENCHMARK(BM_CheckDnfProject);
 
 void BM_CheckLaserProject(benchmark::State& state) {
-  GatekeeperProject project = LaserHeavyProject();
-  project.set_cost_based_ordering(state.range(0) == 1);
-  LaserStore* laser = SharedLaser();
-  int64_t id = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(project.Check(MakeUser(id++), laser));
-  }
-  state.SetItemsProcessed(state.iterations());
+  auto runtime = RuntimeWith(kLaserHeavyJson, SharedLaser());
+  runtime->set_cost_based_ordering(state.range(0) == 1);
+  RunCheckRow(state, *runtime, "LaserHeavy");
   state.SetLabel(state.range(0) == 1 ? "cost-based ordering"
                                      : "config order (naive)");
 }
@@ -326,13 +351,10 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
 
   // Quick standalone measurement for the extrapolation table.
-  GatekeeperProject project = DnfProject();
+  auto dnf = RuntimeWith(DnfJson(0), nullptr);
   constexpr int64_t kChecks = 2'000'000;
   auto start = std::chrono::steady_clock::now();
-  int64_t enabled = 0;
-  for (int64_t id = 0; id < kChecks; ++id) {
-    enabled += project.Check(MakeUser(id), nullptr) ? 1 : 0;
-  }
+  int64_t enabled = CheckUsers(*dnf, "Dnf", kChecks);
   double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -340,15 +362,11 @@ int main(int argc, char** argv) {
 
   // Cost-based ordering ablation, measured inline.
   auto measure_laser = [](bool cost_based) {
-    GatekeeperProject project = LaserHeavyProject();
-    project.set_cost_based_ordering(cost_based);
-    LaserStore* laser = SharedLaser();
+    auto runtime = RuntimeWith(kLaserHeavyJson, SharedLaser());
+    runtime->set_cost_based_ordering(cost_based);
     constexpr int64_t kN = 1'000'000;
     auto t0 = std::chrono::steady_clock::now();
-    int64_t hits = 0;
-    for (int64_t id = 0; id < kN; ++id) {
-      hits += project.Check(MakeUser(id), laser) ? 1 : 0;
-    }
+    int64_t hits = CheckUsers(*runtime, "LaserHeavy", kN);
     double s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
                    .count();
     benchmark::DoNotOptimize(hits);

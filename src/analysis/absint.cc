@@ -1092,7 +1092,7 @@ AbstractValue Analyzer::EvalBinaryAbstract(const std::string& op,
 // -- calls --
 
 AbstractValue Analyzer::EvalCall(const Expr& expr, Ctx& ctx) {
-  // Special forms, mirroring the interpreter (src/lang/interp.cc EvalCall).
+  // Special forms, mirroring the interpreter (tests/reference/interp.cc).
   if (expr.lhs->kind == Expr::Kind::kName) {
     const std::string& name = expr.lhs->name;
     if (name == "import_python" || name == "import_thrift") {

@@ -1,9 +1,9 @@
 // Shared compilation path for Gatekeeper project configs (paper §4).
 //
-// Every evaluator in the tree — the single-threaded learner
-// (GatekeeperProject), the naive reference evaluator (NaiveEvaluator), and
-// the concurrent shared-snapshot runtime (GatekeeperRuntime) — compiles the
-// same JSON through CompileProjectSpec(), so validation and semantics can
+// Both evaluators in the tree — the concurrent shared-snapshot runtime
+// (GatekeeperRuntime) and the naive reference evaluator (NaiveEvaluator) —
+// compile the same JSON through CompileProjectSpec(), as do Sandcastle's
+// raw-config validator and the Mutator, so validation and semantics can
 // never diverge between them. Restraints come out as shared_ptr<const>:
 // after creation a restraint is immutable and pure, so one compiled instance
 // can be shared across snapshot generations and across threads without
@@ -13,6 +13,17 @@
 // by a precomputed 64-bit project salt instead of a per-check string
 // concatenation — all evaluators must cast exactly the same die or the
 // differential test battery (tests/gatekeeper_differential_test.cc) fails.
+//
+// A project is an ordered list of if-statements, each a conjunction of
+// restraints plus a pass probability for user sampling (1% → 10% → 100%
+// rollouts):
+//   {
+//     "project": "ProjectX",
+//     "rules": [
+//       {"restraints": [{"type": "employee"}, ...], "pass_probability": 0.01},
+//       ...
+//     ]
+//   }
 
 #ifndef SRC_GATEKEEPER_COMPILE_H_
 #define SRC_GATEKEEPER_COMPILE_H_
@@ -43,8 +54,7 @@ struct CompiledProjectSpec {
   std::vector<CompiledRuleSpec> rules;
 };
 
-// Compiles and validates a project config. Rejects malformed specs with the
-// same messages FromJson always produced.
+// Compiles and validates a project config. Rejects malformed specs.
 Result<CompiledProjectSpec> CompileProjectSpec(
     const Json& config,
     const RestraintRegistry& registry = RestraintRegistry::Builtin());
@@ -65,9 +75,7 @@ inline double GatekeeperDie(uint64_t project_salt, int64_t user_id) {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
-// Evaluates one rule's conjunction in the given index order (pure, so order
-// never changes the outcome — only the work done before a short-circuit).
-// Declared order = indices 0..n-1.
+// Evaluates one rule's conjunction in declared order.
 inline bool RuleMatches(const CompiledRuleSpec& rule, const UserContext& user,
                         const LaserStore* laser) {
   for (const auto& restraint : rule.restraints) {

@@ -100,8 +100,7 @@ class CompiledProject {
   // calling thread's stripe.
   bool Check(const UserContext& user, const LaserStore* laser) const;
 
-  // Execution-statistics view per rule, in this snapshot's evaluation order
-  // (mirrors GatekeeperProject::StatsSnapshot for the concurrent runtime).
+  // Execution-statistics view per rule, in this snapshot's evaluation order.
   struct RestraintStatsView {
     std::string type;
     double cost = 0;

@@ -486,7 +486,7 @@ void RegisterCslBuiltins(Environment* env) {
 void RegisterSchemaConstructors(const SchemaRegistry& registry, Environment* env) {
   for (const std::string& struct_name : registry.StructNames()) {
     const StructDef* def = registry.FindStruct(struct_name);
-    // Copy the field names; the registry outlives the interpreter session.
+    // Copy the field names; the registry outlives the engine session.
     std::vector<std::string> field_names;
     field_names.reserve(def->fields.size());
     for (const FieldDef& f : def->fields) {

@@ -4,7 +4,7 @@
 #ifndef SRC_LANG_BUILTINS_H_
 #define SRC_LANG_BUILTINS_H_
 
-#include "src/lang/interp.h"
+#include "src/lang/environment.h"
 #include "src/schema/schema.h"
 
 namespace configerator {

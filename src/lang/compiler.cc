@@ -4,38 +4,82 @@
 #include <cstring>
 #include <set>
 
-#include "src/lang/builtins.h"
 #include "src/lang/unit_cache.h"
 #include "src/lang/vm.h"
 #include "src/obs/metrics.h"
 #include "src/schema/typecheck.h"
-#include "src/util/logging.h"
 #include "src/util/strings.h"
 
 namespace configerator {
 
 namespace {
 
-#define RETURN_IF_ERROR_R(expr)              \
-  do {                                       \
-    ::configerator::Status _s = (expr);      \
-    if (!_s.ok()) {                          \
-      return _s;                             \
-    }                                        \
-  } while (false)
+// The production engine: modules compile through the content-hash unit
+// cache and run on the bytecode VM, with the compile/execute split timed.
+class VmEngine : public CslEngine {
+ public:
+  VmEngine(const SchemaRegistry* registry, EngineHooks hooks,
+           CompiledUnitCache* unit_cache, MetricsRegistry* metrics)
+      : unit_cache_(unit_cache),
+        metrics_(metrics),
+        vm_(registry, std::move(hooks)) {}
 
-}  // namespace
+  std::shared_ptr<Environment> NewGlobals() override {
+    return vm_.NewEnvironment(vm_.MakeBaseEnvironment());
+  }
+
+  Status EvalSource(const std::string& path, const std::string& source,
+                    const std::shared_ptr<Environment>& globals,
+                    bool exports_enabled) override {
+    size_t hits_before = unit_cache_->hits();
+    size_t misses_before = unit_cache_->misses();
+    auto compile_start = std::chrono::steady_clock::now();
+    auto unit = unit_cache_->GetOrCompile(path, source);
+    auto compile_end = std::chrono::steady_clock::now();
+    if (metrics_ != nullptr) {
+      metrics_->GetCounter("csl.unit_cache.hits")
+          ->Inc(unit_cache_->hits() - hits_before);
+      metrics_->GetCounter("csl.unit_cache.misses")
+          ->Inc(unit_cache_->misses() - misses_before);
+      metrics_->GetHistogram("csl.compile_micros")
+          ->Record(std::chrono::duration<double, std::micro>(compile_end -
+                                                             compile_start)
+                       .count());
+    }
+    if (!unit.ok()) {
+      return unit.status();
+    }
+    // Closures point into the unit's chunks; keep it alive past the cache.
+    units_alive_.push_back(*unit);
+    Status status = vm_.EvalUnit(**unit, globals, exports_enabled);
+    if (metrics_ != nullptr) {
+      metrics_->GetHistogram("csl.execute_micros")
+          ->Record(std::chrono::duration<double, std::micro>(
+                       std::chrono::steady_clock::now() - compile_end)
+                       .count());
+    }
+    return status;
+  }
+
+  Result<Value> CallValue(const Value& fn, std::vector<Value> args,
+                          std::map<std::string, Value> kwargs) override {
+    return vm_.CallValue(fn, std::move(args), std::move(kwargs));
+  }
+
+ private:
+  CompiledUnitCache* unit_cache_;
+  MetricsRegistry* metrics_;
+  std::vector<std::shared_ptr<const CompiledUnit>> units_alive_;
+  Vm vm_;
+};
 
 // One hermetic compilation of one entry file.
-class ConfigCompiler::Session {
+class Session {
  public:
-  Session(FileReader reader, std::string entry_path, CompilerOptions options,
-          CompiledUnitCache* unit_cache)
-      : reader_(std::move(reader)),
-        entry_path_(std::move(entry_path)),
-        options_(options),
-        unit_cache_(unit_cache) {
-    Interp::Hooks hooks;
+  Session(const FileReader& reader, std::string entry_path,
+          const CslEngineFactory& make_engine)
+      : reader_(reader), entry_path_(std::move(entry_path)) {
+    EngineHooks hooks;
     hooks.import_module = [this](const std::string& path) {
       return ImportModule(path);
     };
@@ -45,18 +89,14 @@ class ConfigCompiler::Session {
     hooks.export_config = [this](const std::string& name, const Value& value) {
       return ExportConfig(name, value);
     };
-    if (options_.engine == CompilerOptions::Engine::kInterpreter) {
-      interp_ = std::make_unique<Interp>(&registry_, std::move(hooks));
-    } else {
-      vm_ = std::make_unique<Vm>(&registry_, std::move(hooks));
-    }
+    engine_ = make_engine(&registry_, std::move(hooks));
   }
 
   Result<CompileOutput> Run() {
     ASSIGN_OR_RETURN(std::string source, ReadDep(entry_path_));
-    auto globals = NewGlobals();
-    RETURN_IF_ERROR_R(
-        EvalSource(entry_path_, source, globals, /*exports_enabled=*/true));
+    auto globals = engine_->NewGlobals();
+    RETURN_IF_ERROR(engine_->EvalSource(entry_path_, source, globals,
+                                        /*exports_enabled=*/true));
 
     // Post-process exports: type check, defaults, validators.
     CompileOutput output;
@@ -67,13 +107,13 @@ class ConfigCompiler::Session {
       ASSIGN_OR_RETURN(Json json, value.ToJson());
       if (!config.type_name.empty() &&
           !config.type_name.starts_with("enum ")) {
-        RETURN_IF_ERROR_R(
+        RETURN_IF_ERROR(
             TypeCheckStruct(registry_, config.type_name, json, config.path));
         ASSIGN_OR_RETURN(json, ApplyDefaults(registry_, config.type_name, json));
         // Re-check with defaults applied so validators see complete configs.
-        RETURN_IF_ERROR_R(
+        RETURN_IF_ERROR(
             TypeCheckStruct(registry_, config.type_name, json, config.path));
-        RETURN_IF_ERROR_R(RunValidators(config.type_name, json));
+        RETURN_IF_ERROR(RunValidators(config.type_name, json));
       }
       config.content = std::move(json);
       output.configs.push_back(std::move(config));
@@ -91,67 +131,6 @@ class ConfigCompiler::Session {
     return reader_(path);
   }
 
-  std::shared_ptr<Environment> NewGlobals() {
-    if (interp_ != nullptr) {
-      return interp_->NewEnvironment(interp_->MakeBaseEnvironment());
-    }
-    return vm_->NewEnvironment(vm_->MakeBaseEnvironment());
-  }
-
-  // Evaluates one module source with the session's engine. For the VM this
-  // is where the content-hash cache and the compile/execute split are
-  // observable; the tree-walking interpreter parses and walks in one go.
-  Status EvalSource(const std::string& path, const std::string& source,
-                    const std::shared_ptr<Environment>& globals,
-                    bool exports_enabled) {
-    if (interp_ != nullptr) {
-      auto module = ParseCsl(source, path);
-      if (!module.ok()) {
-        return module.status();
-      }
-      modules_alive_.push_back(*module);
-      return interp_->EvalModule(**module, globals, exports_enabled);
-    }
-
-    MetricsRegistry* metrics = options_.metrics;
-    size_t hits_before = unit_cache_->hits();
-    size_t misses_before = unit_cache_->misses();
-    auto compile_start = std::chrono::steady_clock::now();
-    auto unit = unit_cache_->GetOrCompile(path, source);
-    auto compile_end = std::chrono::steady_clock::now();
-    if (metrics != nullptr) {
-      metrics->GetCounter("csl.unit_cache.hits")
-          ->Inc(unit_cache_->hits() - hits_before);
-      metrics->GetCounter("csl.unit_cache.misses")
-          ->Inc(unit_cache_->misses() - misses_before);
-      metrics->GetHistogram("csl.compile_micros")
-          ->Record(std::chrono::duration<double, std::micro>(compile_end -
-                                                             compile_start)
-                       .count());
-    }
-    if (!unit.ok()) {
-      return unit.status();
-    }
-    // Closures point into the unit's chunks; keep it alive past the cache.
-    units_alive_.push_back(*unit);
-    Status status = vm_->EvalUnit(**unit, globals, exports_enabled);
-    if (metrics != nullptr) {
-      metrics->GetHistogram("csl.execute_micros")
-          ->Record(std::chrono::duration<double, std::micro>(
-                       std::chrono::steady_clock::now() - compile_end)
-                       .count());
-    }
-    return status;
-  }
-
-  Result<Value> CallFn(const Value& fn, std::vector<Value> args,
-                       std::map<std::string, Value> kwargs) {
-    if (interp_ != nullptr) {
-      return interp_->CallValue(fn, std::move(args), std::move(kwargs));
-    }
-    return vm_->CallValue(fn, std::move(args), std::move(kwargs));
-  }
-
   Result<std::shared_ptr<Environment>> ImportModule(const std::string& path) {
     auto cached = module_envs_.find(path);
     if (cached != module_envs_.end()) {
@@ -162,9 +141,9 @@ class ConfigCompiler::Session {
     }
     module_envs_[path] = nullptr;  // Cycle marker.
     ASSIGN_OR_RETURN(std::string source, ReadDep(path));
-    auto globals = NewGlobals();
-    RETURN_IF_ERROR_R(
-        EvalSource(path, source, globals, /*exports_enabled=*/false));
+    auto globals = engine_->NewGlobals();
+    RETURN_IF_ERROR(
+        engine_->EvalSource(path, source, globals, /*exports_enabled=*/false));
     module_envs_[path] = globals;
     return globals;
   }
@@ -174,15 +153,11 @@ class ConfigCompiler::Session {
       return OkStatus();
     }
     loaded_schemas_.insert(path);
-    auto source = ReadDep(path);
-    if (!source.ok()) {
-      return source.status();
-    }
-    auto include_resolver = [this](const std::string& inc) -> Result<std::string> {
+    ASSIGN_OR_RETURN(std::string source, ReadDep(path));
+    auto include_resolver = [this](const std::string& inc) {
       return ReadDep(inc);
     };
-    RETURN_IF_ERROR(
-        registry_.ParseAndRegister(*source, path, include_resolver));
+    RETURN_IF_ERROR(registry_.ParseAndRegister(source, path, include_resolver));
     RETURN_IF_ERROR(registry_.ResolveAll());
     // Load the companion validator module if one exists. Missing validators
     // are fine; anything else (e.g. a validator that fails to parse) is not.
@@ -190,9 +165,9 @@ class ConfigCompiler::Session {
     auto validator_source = reader_(validator_path);
     if (validator_source.ok()) {
       dependencies_.insert(validator_path);
-      auto globals = NewGlobals();
-      RETURN_IF_ERROR(EvalSource(validator_path, *validator_source, globals,
-                                 /*exports_enabled=*/false));
+      auto globals = engine_->NewGlobals();
+      RETURN_IF_ERROR(engine_->EvalSource(validator_path, *validator_source,
+                                         globals, /*exports_enabled=*/false));
       for (const auto& [name, value] : globals->vars()) {
         if (name.starts_with("validate_") && value.is_callable()) {
           validators_[name.substr(strlen("validate_"))].push_back(value);
@@ -211,7 +186,6 @@ class ConfigCompiler::Session {
       return InvalidConfigError("config '" + path + "' exported twice");
     }
     exports_.emplace(path, value);
-    export_order_.push_back(path);
     return OkStatus();
   }
 
@@ -223,7 +197,7 @@ class ConfigCompiler::Session {
     Value cfg = Value::FromJson(json);
     cfg.set_type_name(type_name);
     for (const Value& validator : it->second) {
-      auto result = CallFn(validator, {cfg}, {});
+      auto result = engine_->CallValue(validator, {cfg}, {});
       if (!result.ok()) {
         return InvalidConfigError(
             StrFormat("validator for %s rejected config: %s", type_name.c_str(),
@@ -238,31 +212,29 @@ class ConfigCompiler::Session {
     return OkStatus();
   }
 
-  FileReader reader_;
+  const FileReader& reader_;
   std::string entry_path_;
-  CompilerOptions options_;
-  CompiledUnitCache* unit_cache_;
   SchemaRegistry registry_;
-  // Exactly one engine is live per session, chosen by options_.engine.
-  std::unique_ptr<Interp> interp_;
-  std::unique_ptr<Vm> vm_;
-  std::vector<std::shared_ptr<const CompiledUnit>> units_alive_;
+  std::unique_ptr<CslEngine> engine_;
   std::map<std::string, std::shared_ptr<Environment>> module_envs_;
   std::set<std::string> loaded_schemas_;
   std::set<std::string> dependencies_;
   std::map<std::string, Value> exports_;
-  std::vector<std::string> export_order_;
   std::map<std::string, std::vector<Value>> validators_;
-  std::vector<std::shared_ptr<Module>> modules_alive_;
 };
 
-ConfigCompiler::ConfigCompiler(FileReader reader)
-    : ConfigCompiler(std::move(reader), CompilerOptions{}) {}
+}  // namespace
+
+Result<CompileOutput> CompileEntry(const FileReader& reader,
+                                   const std::string& entry_path,
+                                   const CslEngineFactory& make_engine) {
+  Session session(reader, entry_path, make_engine);
+  return session.Run();
+}
 
 ConfigCompiler::ConfigCompiler(FileReader reader, CompilerOptions options)
     : reader_(std::move(reader)), options_(options) {
-  if (options_.engine == CompilerOptions::Engine::kBytecodeVm &&
-      options_.unit_cache == nullptr) {
+  if (options_.unit_cache == nullptr) {
     owned_unit_cache_ = std::make_unique<CompiledUnitCache>();
     options_.unit_cache = owned_unit_cache_.get();
   }
@@ -272,53 +244,52 @@ ConfigCompiler::~ConfigCompiler() = default;
 
 Result<CompileOutput> ConfigCompiler::Compile(const std::string& entry_path) {
   CompiledUnitCache* cache = options_.unit_cache;
-  if (options_.engine == CompilerOptions::Engine::kBytecodeVm &&
-      options_.memoize_outputs && cache != nullptr) {
-    // Digest-first: walk the entry's static import closure (re-reading every
-    // source, so edits always take effect) and replay the memoized output if
-    // this exact closure has compiled before. CSL is hermetic, so the output
-    // is a pure function of the closure's bytes.
-    MetricsRegistry* metrics = options_.metrics;
-    size_t hits_before = cache->hits();
-    size_t misses_before = cache->misses();
-    auto digest = ClosureDigest(entry_path, reader_, cache);
-    if (metrics != nullptr) {
-      metrics->GetCounter("csl.unit_cache.hits")
-          ->Inc(cache->hits() - hits_before);
-      metrics->GetCounter("csl.unit_cache.misses")
-          ->Inc(cache->misses() - misses_before);
-    }
-    if (digest.ok()) {
-      if (const CompiledUnitCache::MemoizedOutput* memo =
-              cache->FindOutput(*digest)) {
-        if (metrics != nullptr) {
-          metrics->GetCounter("csl.output_cache.hits")->Inc();
-        }
-        if (!memo->status.ok()) {
-          return memo->status;
-        }
-        return memo->output;
-      }
-      if (metrics != nullptr) {
-        metrics->GetCounter("csl.output_cache.misses")->Inc();
-      }
-      Session session(reader_, entry_path, options_, cache);
-      auto output = session.Run();
-      CompiledUnitCache::MemoizedOutput memo;
-      if (output.ok()) {
-        memo.output = *output;
-      } else {
-        memo.status = output.status();
-      }
-      cache->StoreOutput(*digest, std::move(memo));
-      return output;
-    }
-    // The closure is not statically digestible (a computed import path) or a
-    // file in it is unreadable: fall through to a full evaluation, which
-    // produces the right output or error. Such entries are never memoized.
+  MetricsRegistry* metrics = options_.metrics;
+  CslEngineFactory make_vm = [cache, metrics](const SchemaRegistry* registry,
+                                              EngineHooks hooks) {
+    return std::make_unique<VmEngine>(registry, std::move(hooks), cache,
+                                      metrics);
+  };
+  // Digest-first: walk the entry's static import closure (re-reading every
+  // source, so edits always take effect) and replay the memoized output if
+  // this exact closure has compiled before. CSL is hermetic, so the output
+  // is a pure function of the closure's bytes.
+  size_t hits_before = cache->hits();
+  size_t misses_before = cache->misses();
+  auto digest = ClosureDigest(entry_path, reader_, cache);
+  if (metrics != nullptr) {
+    metrics->GetCounter("csl.unit_cache.hits")->Inc(cache->hits() - hits_before);
+    metrics->GetCounter("csl.unit_cache.misses")
+        ->Inc(cache->misses() - misses_before);
   }
-  Session session(reader_, entry_path, options_, options_.unit_cache);
-  return session.Run();
+  if (!digest.ok()) {
+    // The closure is not statically digestible (a computed import path) or a
+    // file in it is unreadable: a full evaluation produces the right output
+    // or error. Such entries are never memoized.
+    return CompileEntry(reader_, entry_path, make_vm);
+  }
+  if (const CompiledUnitCache::MemoizedOutput* memo =
+          cache->FindOutput(*digest)) {
+    if (metrics != nullptr) {
+      metrics->GetCounter("csl.output_cache.hits")->Inc();
+    }
+    if (!memo->status.ok()) {
+      return memo->status;
+    }
+    return memo->output;
+  }
+  if (metrics != nullptr) {
+    metrics->GetCounter("csl.output_cache.misses")->Inc();
+  }
+  auto output = CompileEntry(reader_, entry_path, make_vm);
+  CompiledUnitCache::MemoizedOutput memo;
+  if (output.ok()) {
+    memo.output = *output;
+  } else {
+    memo.status = output.status();
+  }
+  cache->StoreOutput(*digest, std::move(memo));
+  return output;
 }
 
 std::string ConfigCompiler::OutputPathFor(const std::string& source_path) {
@@ -330,7 +301,5 @@ std::string ConfigCompiler::OutputPathFor(const std::string& source_path) {
   }
   return source_path.substr(0, dot) + ".json";
 }
-
-#undef RETURN_IF_ERROR_R
 
 }  // namespace configerator

@@ -21,7 +21,8 @@
 #include <vector>
 
 #include "src/json/json.h"
-#include "src/lang/interp.h"
+#include "src/lang/environment.h"
+#include "src/lang/value.h"
 #include "src/schema/schema.h"
 #include "src/util/status.h"
 
@@ -34,36 +35,17 @@ class MetricsRegistry;
 // VCS working tree in the pipeline.
 using FileReader = std::function<Result<std::string>(const std::string&)>;
 
-// Engine/caching knobs for the compiler. Both engines implement identical
-// observable semantics — the differential battery in
-// tests/vm_differential_test.cc holds them to bit-identical artifacts and
-// byte-identical error messages — so callers pick purely on mechanics.
+// Caching and observability knobs for the compiler.
 struct CompilerOptions {
-  enum class Engine {
-    // Compile each module to bytecode (content-hash cached) and run it on
-    // the stack VM. The fast path, and the default.
-    kBytecodeVm,
-    // Tree-walking reference interpreter. The executable specification; kept
-    // selectable for differential testing and for bisecting VM bugs.
-    kInterpreter,
-  };
-
-  Engine engine = Engine::kBytecodeVm;
   // Bytecode cache shared across Compile() calls (e.g. one per Sandcastle
   // run). Null = the compiler keeps a private cache, which still dedups
   // recompiles of shared .cinc modules across entries. Hermeticity is
   // preserved either way: sources are re-read every call and units re-keyed
   // by content hash, so edits always take effect.
   CompiledUnitCache* unit_cache = nullptr;
-  // Memoize each entry's whole validated output under its import-closure
-  // digest (CSL is hermetic, so equal closures compile to byte-identical
-  // artifacts). Steady-state recompiles of an unchanged entry then cost one
-  // digest walk instead of an evaluation. Off = always evaluate — the
-  // benchmark ablation, and an escape hatch for debugging.
-  bool memoize_outputs = true;
-  // Optional observability sink. The VM engine records
-  // csl.unit_cache.{hits,misses} and csl.output_cache.{hits,misses}
-  // counters and csl.{compile,execute}_micros histograms.
+  // Optional observability sink: csl.unit_cache.{hits,misses} and
+  // csl.output_cache.{hits,misses} counters and csl.{compile,execute}_micros
+  // histograms.
   MetricsRegistry* metrics = nullptr;
 };
 
@@ -82,14 +64,49 @@ struct CompileOutput {
   std::vector<std::string> dependencies;
 };
 
+// The three engine operations the compile pipeline needs. ConfigCompiler
+// runs the bytecode VM through it; the reference interpreter
+// (tests/reference/interp.h) implements it too, so differential tests
+// exercise one pipeline with two engines.
+class CslEngine {
+ public:
+  virtual ~CslEngine() = default;
+
+  // Module globals chained from the session's base environment.
+  virtual std::shared_ptr<Environment> NewGlobals() = 0;
+
+  // Evaluates one module's source into `globals`. Only the entry file runs
+  // with `exports_enabled` ("export if last").
+  virtual Status EvalSource(const std::string& path, const std::string& source,
+                            const std::shared_ptr<Environment>& globals,
+                            bool exports_enabled) = 0;
+
+  // Calls a function value (the validator entry point).
+  virtual Result<Value> CallValue(const Value& fn, std::vector<Value> args,
+                                  std::map<std::string, Value> kwargs) = 0;
+};
+
+// Builds one session's engine over the session's schema registry, with
+// hooks that route imports and exports back into the session.
+using CslEngineFactory = std::function<std::unique_ptr<CslEngine>(
+    const SchemaRegistry* registry, EngineHooks hooks)>;
+
+// Compiles one entry file on the engine `make_engine` builds: evaluation,
+// type checks, defaults and validators, with no caching.
+Result<CompileOutput> CompileEntry(const FileReader& reader,
+                                   const std::string& entry_path,
+                                   const CslEngineFactory& make_engine);
+
 class ConfigCompiler {
  public:
-  explicit ConfigCompiler(FileReader reader);
-  ConfigCompiler(FileReader reader, CompilerOptions options);
+  explicit ConfigCompiler(FileReader reader, CompilerOptions options = {});
   ~ConfigCompiler();
 
-  // Compiles one ".cconf" entry file. Each call is hermetic: schemas and
-  // modules are re-read so source changes always take effect.
+  // Compiles one ".cconf" entry file on the bytecode VM. Each call is
+  // hermetic: schemas and modules are re-read so source changes always take
+  // effect. The validated output (or deterministic failure) is memoized
+  // under the entry's import-closure digest, so recompiling an unchanged
+  // entry costs one digest walk.
   Result<CompileOutput> Compile(const std::string& entry_path);
 
   // Derives the default output path for a source path:
@@ -97,11 +114,9 @@ class ConfigCompiler {
   static std::string OutputPathFor(const std::string& source_path);
 
  private:
-  class Session;
-
   FileReader reader_;
   CompilerOptions options_;
-  // Backing cache when the caller didn't provide one (VM engine only).
+  // Backing cache when the caller didn't provide one.
   std::unique_ptr<CompiledUnitCache> owned_unit_cache_;
 };
 

@@ -1,7 +1,7 @@
 // Shared runtime semantics for the config source language.
 //
-// Both CSL engines — the tree-walking interpreter (the executable reference
-// semantics) and the bytecode VM (the fast path) — must agree bit-for-bit on
+// Both CSL engines — the bytecode VM (production) and the tree-walking
+// reference interpreter (tests/reference/interp.h) — must agree bit-for-bit on
 // every operator result and byte-for-byte on every error message, because
 // the differential fuzz battery compares them verbatim. These helpers are
 // the single implementation both engines call; errors carry the bare message

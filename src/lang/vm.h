@@ -1,12 +1,12 @@
-// Stack-based bytecode VM for the config source language — the fast path
-// behind the Compiler facade.
+// Stack-based bytecode VM for the config source language — the one CSL
+// engine behind the Compiler facade and sitevars.
 //
-// The VM mirrors the tree-walking interpreter's public surface (hooks,
-// environments, step limit, call-depth limit) and its observable semantics
-// exactly: the differential fuzz battery in tests/vm_differential_test.cc
-// requires bit-identical exported artifacts and byte-identical error
-// messages (class, origin, line) against src/lang/interp.h on every seeded
-// program. When in doubt, the interpreter is the specification.
+// The VM reproduces the observable semantics of the tree-walking reference
+// interpreter (tests/reference/interp.h) exactly: the differential fuzz
+// battery in tests/vm_differential_test.cc requires bit-identical exported
+// artifacts and byte-identical error messages (class, origin, line) against
+// it on every seeded program. When in doubt, the interpreter is the
+// specification.
 //
 // Functions with statically known locals run on vector slots (no
 // Environment allocation per call); functions containing nested defs or
@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "src/lang/bytecode.h"
-#include "src/lang/interp.h"
+#include "src/lang/environment.h"
 #include "src/lang/value.h"
 #include "src/schema/schema.h"
 #include "src/util/status.h"
@@ -32,9 +32,8 @@ namespace configerator {
 
 class Vm {
  public:
-  // Same contract as the interpreter's hooks; a compile session can drive
-  // either engine with the same wiring.
-  using Hooks = Interp::Hooks;
+  // Imports/exports route through the host (src/lang/environment.h).
+  using Hooks = EngineHooks;
 
   Vm(const SchemaRegistry* registry, Hooks hooks);
   ~Vm();
@@ -42,9 +41,7 @@ class Vm {
   Vm(const Vm&) = delete;
   Vm& operator=(const Vm&) = delete;
 
-  // Environments are session-scoped exactly as in the interpreter: the VM
-  // registers every environment it hands out and clears them on destruction
-  // to break closure <-> environment cycles.
+  // A session-scoped environment, cleared when the VM is destroyed.
   std::shared_ptr<Environment> NewEnvironment(
       std::shared_ptr<Environment> parent = nullptr);
 

@@ -5,7 +5,7 @@
 #include <set>
 
 #include "src/canary/canary.h"
-#include "src/gatekeeper/project.h"
+#include "src/gatekeeper/compile.h"
 #include "src/lang/unit_cache.h"
 #include "src/util/logging.h"
 #include "src/util/strings.h"
@@ -24,10 +24,7 @@ Sandcastle::Sandcastle(const Repository* repo, const DependencyService* deps)
           return OkStatus();
         }
         ASSIGN_OR_RETURN(Json json, Json::Parse(content));
-        ASSIGN_OR_RETURN(GatekeeperProject project,
-                         GatekeeperProject::FromJson(json));
-        (void)project;
-        return OkStatus();
+        return CompileProjectSpec(json).status();
       });
   raw_validators_.push_back(
       [](const std::string& path, const std::string& content) -> Status {

@@ -1,7 +1,6 @@
 #include "src/sitevars/sitevars.h"
 
-#include <algorithm>
-
+#include "src/lang/codegen.h"
 #include "src/util/strings.h"
 
 namespace configerator {
@@ -63,10 +62,9 @@ SitevarType ClassifySitevarValue(const Json& value) {
   return SitevarType::kUnknown;
 }
 
-SitevarStore::SitevarStore() {
-  Interp::Hooks hooks;  // No imports/exports inside sitevar expressions.
-  interp_ = std::make_unique<Interp>(nullptr, std::move(hooks));
-}
+// No hooks: no imports/exports inside sitevar expressions or checkers.
+SitevarStore::SitevarStore()
+    : vm_(std::make_unique<Vm>(nullptr, EngineHooks{})) {}
 
 SitevarStore::~SitevarStore() = default;
 
@@ -75,8 +73,10 @@ Result<Json> SitevarStore::Evaluate(const std::string& expression) const {
   std::string source = "__sitevar_value = (" + expression + ")\n";
   ASSIGN_OR_RETURN(std::shared_ptr<Module> module,
                    ParseCsl(source, "<sitevar>"));
-  auto globals = interp_->NewEnvironment(interp_->MakeBaseEnvironment());
-  RETURN_IF_ERROR(interp_->EvalModule(*module, globals, /*exports_enabled=*/false));
+  ASSIGN_OR_RETURN(std::shared_ptr<CompiledUnit> unit,
+                   CompileToBytecode(*module));
+  auto globals = vm_->NewEnvironment(vm_->MakeBaseEnvironment());
+  RETURN_IF_ERROR(vm_->EvalUnit(*unit, globals, /*exports_enabled=*/false));
   Value* value = globals->Find("__sitevar_value");
   if (value == nullptr) {
     return InternalError("sitevar expression produced no value");
@@ -115,7 +115,7 @@ Result<SitevarUpdateResult> SitevarStore::Set(const std::string& name,
   auto it = sitevars_.find(name);
   // The checker guards every update, including the first value ever set.
   if (it != sitevars_.end() && it->second.checker.is_callable()) {
-    auto check = interp_->CallValue(it->second.checker, {Value::FromJson(value)}, {});
+    auto check = vm_->CallValue(it->second.checker, {Value::FromJson(value)}, {});
     if (!check.ok()) {
       return InvalidConfigError(StrFormat("sitevar '%s' checker rejected: %s",
                                           name.c_str(),
@@ -180,13 +180,15 @@ Status SitevarStore::SetChecker(const std::string& name,
                                 const std::string& csl_source) {
   ASSIGN_OR_RETURN(std::shared_ptr<Module> module,
                    ParseCsl(csl_source, "<checker:" + name + ">"));
-  auto globals = interp_->NewEnvironment(interp_->MakeBaseEnvironment());
-  RETURN_IF_ERROR(interp_->EvalModule(*module, globals, /*exports_enabled=*/false));
+  ASSIGN_OR_RETURN(std::shared_ptr<CompiledUnit> unit,
+                   CompileToBytecode(*module));
+  auto globals = vm_->NewEnvironment(vm_->MakeBaseEnvironment());
+  RETURN_IF_ERROR(vm_->EvalUnit(*unit, globals, /*exports_enabled=*/false));
   Value* check = globals->Find("check");
   if (check == nullptr || !check->is_callable()) {
     return InvalidArgumentError("checker source must define check(value)");
   }
-  checker_modules_.push_back(module);
+  checker_units_.push_back(std::move(unit));
   sitevars_[name].checker = *check;
   return OkStatus();
 }

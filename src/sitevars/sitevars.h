@@ -16,7 +16,8 @@
 #include <vector>
 
 #include "src/json/json.h"
-#include "src/lang/interp.h"
+#include "src/lang/bytecode.h"
+#include "src/lang/vm.h"
 #include "src/util/status.h"
 
 namespace configerator {
@@ -87,9 +88,9 @@ class SitevarStore {
   static constexpr size_t kMaxHistory = 64;
 
   std::map<std::string, SitevarRecord> sitevars_;
-  std::unique_ptr<Interp> interp_;
-  // Modules backing checkers must stay alive as long as their closures.
-  std::vector<std::shared_ptr<Module>> checker_modules_;
+  std::unique_ptr<Vm> vm_;
+  // Units backing checkers must stay alive as long as their closures.
+  std::vector<std::shared_ptr<const CompiledUnit>> checker_units_;
 };
 
 }  // namespace configerator

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "src/gatekeeper/project.h"
+#include <memory>
+
 #include "src/gatekeeper/runtime.h"
 
 namespace configerator {
@@ -197,20 +198,28 @@ constexpr char kProjectX[] = R"({
   ]
 })";
 
+// A fresh runtime serving the one project in `json`; the ProjectTest cases
+// check gk_check() semantics through it.
+std::unique_ptr<GatekeeperRuntime> RuntimeServing(
+    const std::string& json, const LaserStore* laser = nullptr) {
+  auto runtime = std::make_unique<GatekeeperRuntime>(laser);
+  Status status = runtime->LoadProject(ParseConfig(json));
+  EXPECT_TRUE(status.ok()) << status;
+  return runtime;
+}
+
 TEST(ProjectTest, EmployeesAlwaysPass) {
-  auto project = GatekeeperProject::FromJson(ParseConfig(kProjectX));
-  ASSERT_TRUE(project.ok()) << project.status();
+  auto runtime = RuntimeServing(kProjectX);
   UserContext employee = MakeUser(5);
   employee.is_employee = true;
-  EXPECT_TRUE(project->Check(employee, nullptr));
+  EXPECT_TRUE(runtime->Check("ProjectX", employee));
 }
 
 TEST(ProjectTest, SamplingApproximatesProbability) {
-  auto project = GatekeeperProject::FromJson(ParseConfig(kProjectX));
-  ASSERT_TRUE(project.ok());
+  auto runtime = RuntimeServing(kProjectX);
   int passed = 0;
   for (int64_t id = 0; id < 20'000; ++id) {
-    if (project->Check(MakeUser(id), nullptr)) {
+    if (runtime->Check("ProjectX", MakeUser(id))) {
       ++passed;
     }
   }
@@ -218,92 +227,100 @@ TEST(ProjectTest, SamplingApproximatesProbability) {
 }
 
 TEST(ProjectTest, SamplingIsStickyPerUser) {
-  auto project = GatekeeperProject::FromJson(ParseConfig(kProjectX));
-  ASSERT_TRUE(project.ok());
+  auto runtime = RuntimeServing(kProjectX);
   for (int64_t id = 100; id < 200; ++id) {
     UserContext user = MakeUser(id);
-    bool first = project->Check(user, nullptr);
+    bool first = runtime->Check("ProjectX", user);
     for (int i = 0; i < 5; ++i) {
-      EXPECT_EQ(project->Check(user, nullptr), first);
+      EXPECT_EQ(runtime->Check("ProjectX", user), first);
     }
   }
 }
 
 TEST(ProjectTest, NonMatchingUsersFail) {
-  auto project = GatekeeperProject::FromJson(ParseConfig(kProjectX));
-  ASSERT_TRUE(project.ok());
+  auto runtime = RuntimeServing(kProjectX);
   UserContext user = MakeUser(7);
   user.country = "BR";  // Fails rule 2's country restraint.
-  EXPECT_FALSE(project->Check(user, nullptr));
+  EXPECT_FALSE(runtime->Check("ProjectX", user));
 }
 
 TEST(ProjectTest, RuleOrderMatters) {
   // A user matching rule 1 (employees, 100%) never falls through to rule 2.
-  auto project = GatekeeperProject::FromJson(ParseConfig(kProjectX));
-  ASSERT_TRUE(project.ok());
+  auto runtime = RuntimeServing(kProjectX);
   UserContext employee = MakeUser(123456);
   employee.is_employee = true;
   employee.country = "DE";  // Would fail rule 2.
-  EXPECT_TRUE(project->Check(employee, nullptr));
+  EXPECT_TRUE(runtime->Check("ProjectX", employee));
 }
 
 TEST(ProjectTest, CostBasedOrderingPreservesSemantics) {
-  auto with = GatekeeperProject::FromJson(ParseConfig(kProjectX));
-  auto without = GatekeeperProject::FromJson(ParseConfig(kProjectX));
-  ASSERT_TRUE(with.ok());
-  ASSERT_TRUE(without.ok());
+  auto with = RuntimeServing(kProjectX);
+  auto without = RuntimeServing(kProjectX);
   with->set_cost_based_ordering(true);
   without->set_cost_based_ordering(false);
-  // Run enough checks to trigger several reorder intervals, then compare.
+  // Rebuild every 1024 checks so several learned orders are exercised.
   for (int64_t id = 0; id < 5000; ++id) {
     UserContext user = MakeUser(id);
     user.is_employee = id % 7 == 0;
     user.country = id % 3 == 0 ? "US" : "BR";
-    EXPECT_EQ(with->Check(user, nullptr), without->Check(user, nullptr))
+    EXPECT_EQ(with->Check("ProjectX", user), without->Check("ProjectX", user))
         << "id=" << id;
+    if ((id + 1) % 1024 == 0) {
+      with->Rebuild();
+      without->Rebuild();
+    }
   }
 }
 
 TEST(ProjectTest, CostBasedOrderingLearnsToFrontLoadCheapRestraints) {
   // An expensive laser() first in config order, a cheap, usually-false
-  // country restraint second: after training, the optimizer must evaluate
-  // the country restraint first.
+  // country restraint second: after training and a Rebuild(), the published
+  // snapshot must evaluate the country restraint first.
   LaserStore laser;
-  auto project = GatekeeperProject::FromJson(ParseConfig(R"({
+  auto runtime = RuntimeServing(R"({
     "project": "LaserFirst",
     "rules": [{"restraints": [
       {"type": "laser", "params": {"project": "T", "threshold": 0.5}},
       {"type": "country", "params": {"countries": ["JP"]}}],
       "pass_probability": 1.0}]
-  })"));
-  ASSERT_TRUE(project.ok());
+  })",
+                                &laser);
 
-  auto initial = project->StatsSnapshot();
+  auto initial = runtime->StatsSnapshot("LaserFirst");
   ASSERT_EQ(initial.size(), 1u);
   EXPECT_EQ(initial[0][0].type, "laser");  // Config order before training.
 
   for (int64_t id = 0; id < 5000; ++id) {
-    (void)project->Check(MakeUser(id), &laser);  // Users are US: country=false.
+    (void)runtime->Check("LaserFirst", MakeUser(id));  // Users are US.
   }
-  auto trained = project->StatsSnapshot();
+  EXPECT_EQ(runtime->StatsSnapshot("LaserFirst")[0][0].type, "laser");
+  runtime->Rebuild();
+  for (int64_t id = 5000; id < 6000; ++id) {
+    (void)runtime->Check("LaserFirst", MakeUser(id));
+  }
+  auto trained = runtime->StatsSnapshot("LaserFirst");
   EXPECT_EQ(trained[0][0].type, "country");  // Cheap short-circuit first.
-  EXPECT_GT(trained[0][0].evals, 0u);
+  EXPECT_EQ(trained[0][0].evals, 1000u);
   EXPECT_DOUBLE_EQ(trained[0][0].pass_rate(), 0.0);
   // Once reordered, the laser restraint stops being evaluated at all.
-  EXPECT_LT(trained[0][1].evals, 5000u);
+  EXPECT_EQ(trained[0][1].type, "laser");
+  EXPECT_EQ(trained[0][1].evals, 5000u);
 }
 
 TEST(ProjectTest, MalformedProjectsRejected) {
-  EXPECT_FALSE(GatekeeperProject::FromJson(ParseConfig(R"({"rules": []})")).ok());
-  EXPECT_FALSE(
-      GatekeeperProject::FromJson(ParseConfig(R"({"project": "X"})")).ok());
-  EXPECT_FALSE(GatekeeperProject::FromJson(ParseConfig(
-                   R"({"project": "X", "rules": [{"restraints": []}]})"))
+  GatekeeperRuntime runtime;
+  EXPECT_FALSE(runtime.LoadProject(ParseConfig(R"({"rules": []})")).ok());
+  EXPECT_FALSE(runtime.LoadProject(ParseConfig(R"({"project": "X"})")).ok());
+  EXPECT_FALSE(runtime
+                   .LoadProject(ParseConfig(
+                       R"({"project": "X", "rules": [{"restraints": []}]})"))
                    .ok());
-  EXPECT_FALSE(GatekeeperProject::FromJson(ParseConfig(
-                   R"({"project": "X",
-                       "rules": [{"restraints": [], "pass_probability": 1.5}]})"))
+  EXPECT_FALSE(runtime
+                   .LoadProject(ParseConfig(
+                       R"({"project": "X",
+                           "rules": [{"restraints": [], "pass_probability": 1.5}]})"))
                    .ok());
+  EXPECT_EQ(runtime.project_count(), 0u);
 }
 
 // ---- Runtime ------------------------------------------------------------------

@@ -1,26 +1,87 @@
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "src/lang/builtins.h"
-#include "src/lang/interp.h"
+#include "src/lang/codegen.h"
 #include "src/lang/lexer.h"
+#include "src/lang/vm.h"
 #include "src/util/rng.h"
+#include "tests/reference/interp.h"
 
 namespace configerator {
 namespace {
 
+// The hand-written semantics cases run on both CSL engines: the production
+// bytecode VM and the reference interpreter it is held to.
+enum class Engine { kVm, kReference };
+
+std::string EngineName(Engine engine) {
+  return engine == Engine::kVm ? "Vm" : "Reference";
+}
+
+// One engine session with no hooks (no imports; exports are dropped).
+class EngineSession {
+ public:
+  EngineSession(Engine engine, const SchemaRegistry* registry) {
+    if (engine == Engine::kVm) {
+      vm_ = std::make_unique<Vm>(registry, EngineHooks{});
+    } else {
+      interp_ = std::make_unique<Interp>(registry, EngineHooks{});
+    }
+  }
+
+  // The unit of a "step" differs between engines (an instruction on the VM,
+  // a statement or expression in the interpreter).
+  void set_step_limit(uint64_t limit) {
+    if (vm_ != nullptr) {
+      vm_->set_step_limit(limit);
+    } else {
+      interp_->set_step_limit(limit);
+    }
+  }
+
+  std::shared_ptr<Environment> NewGlobals() {
+    if (vm_ != nullptr) {
+      return vm_->NewEnvironment(vm_->MakeBaseEnvironment());
+    }
+    return interp_->NewEnvironment(interp_->MakeBaseEnvironment());
+  }
+
+  // Evaluates `module` into `globals`, keeping its AST and bytecode alive
+  // for the closures it defines.
+  Status Eval(std::shared_ptr<Module> module,
+              const std::shared_ptr<Environment>& globals,
+              bool exports_enabled) {
+    modules_.push_back(module);
+    if (interp_ != nullptr) {
+      return interp_->EvalModule(*module, globals, exports_enabled);
+    }
+    ASSIGN_OR_RETURN(std::shared_ptr<CompiledUnit> unit,
+                     CompileToBytecode(*module));
+    units_.push_back(unit);
+    return vm_->EvalUnit(*unit, globals, exports_enabled);
+  }
+
+ private:
+  std::vector<std::shared_ptr<Module>> modules_;
+  std::vector<std::shared_ptr<CompiledUnit>> units_;
+  std::unique_ptr<Vm> vm_;
+  std::unique_ptr<Interp> interp_;
+};
+
 // Evaluates a CSL module and returns the resulting globals (no imports).
-class LangTest : public ::testing::Test {
+class LangTest : public ::testing::TestWithParam<Engine> {
  protected:
   // Runs `source`; on success `globals_` holds the module bindings.
   Status Run(const std::string& source) {
-    interp_ = std::make_unique<Interp>(registry_.get(), Interp::Hooks{});
+    session_ = std::make_unique<EngineSession>(GetParam(), registry_.get());
     auto module = ParseCsl(source, "test.cconf");
     if (!module.ok()) {
       return module.status();
     }
-    module_ = *module;  // Keep AST alive for closures.
-    globals_ = interp_->NewEnvironment(interp_->MakeBaseEnvironment());
-    return interp_->EvalModule(*module_, globals_, /*exports_enabled=*/true);
+    globals_ = session_->NewGlobals();
+    return session_->Eval(*module, globals_, /*exports_enabled=*/true);
   }
 
   Value Get(const std::string& name) {
@@ -30,10 +91,15 @@ class LangTest : public ::testing::Test {
   }
 
   std::unique_ptr<SchemaRegistry> registry_;
-  std::unique_ptr<Interp> interp_;
-  std::shared_ptr<Module> module_;
+  std::unique_ptr<EngineSession> session_;
   std::shared_ptr<Environment> globals_;
 };
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, LangTest, ::testing::Values(Engine::kVm, Engine::kReference),
+    [](const ::testing::TestParamInfo<Engine>& info) {
+      return EngineName(info.param);
+    });
 
 // ---- Lexer ------------------------------------------------------------------
 
@@ -114,7 +180,7 @@ TEST(LexerTest, InconsistentIndentationFails) {
 
 // ---- Expressions ------------------------------------------------------------
 
-TEST_F(LangTest, Arithmetic) {
+TEST_P(LangTest, Arithmetic) {
   ASSERT_TRUE(Run("a = 2 + 3 * 4\n"
                   "b = (2 + 3) * 4\n"
                   "c = 7 / 2\n"
@@ -132,19 +198,19 @@ TEST_F(LangTest, Arithmetic) {
   EXPECT_DOUBLE_EQ(Get("g").as_double(), 5.0);
 }
 
-TEST_F(LangTest, PythonFloorDivAndModSemantics) {
+TEST_P(LangTest, PythonFloorDivAndModSemantics) {
   ASSERT_TRUE(Run("a = -7 // 2\nb = -7 % 2\nc = 7 % -2\n").ok());
   EXPECT_EQ(Get("a").as_int(), -4);
   EXPECT_EQ(Get("b").as_int(), 1);
   EXPECT_EQ(Get("c").as_int(), -1);
 }
 
-TEST_F(LangTest, DivisionByZeroFails) {
+TEST_P(LangTest, DivisionByZeroFails) {
   EXPECT_FALSE(Run("a = 1 / 0\n").ok());
   EXPECT_FALSE(Run("a = 1 % 0\n").ok());
 }
 
-TEST_F(LangTest, StringOperations) {
+TEST_P(LangTest, StringOperations) {
   ASSERT_TRUE(Run("a = \"foo\" + \"bar\"\n"
                   "b = \"ab\" * 3\n"
                   "c = \"ll\" in \"hello\"\n"
@@ -158,7 +224,7 @@ TEST_F(LangTest, StringOperations) {
   EXPECT_EQ(Get("e").as_string(), "o");
 }
 
-TEST_F(LangTest, Comparisons) {
+TEST_P(LangTest, Comparisons) {
   ASSERT_TRUE(Run("a = 1 < 2\n"
                   "b = 2 <= 2\n"
                   "c = \"a\" < \"b\"\n"
@@ -172,7 +238,7 @@ TEST_F(LangTest, Comparisons) {
   }
 }
 
-TEST_F(LangTest, LogicalOperatorsShortCircuit) {
+TEST_P(LangTest, LogicalOperatorsShortCircuit) {
   // `or` returns the deciding operand; the divide-by-zero never evaluates.
   ASSERT_TRUE(Run("a = True or (1 / 0)\n"
                   "b = False and (1 / 0)\n"
@@ -185,7 +251,7 @@ TEST_F(LangTest, LogicalOperatorsShortCircuit) {
   EXPECT_EQ(Get("d").as_string(), "fallback");
 }
 
-TEST_F(LangTest, TernaryExpression) {
+TEST_P(LangTest, TernaryExpression) {
   ASSERT_TRUE(Run("a = \"big\" if 10 > 5 else \"small\"\n"
                   "b = \"big\" if 1 > 5 else \"small\"\n")
                   .ok());
@@ -193,7 +259,7 @@ TEST_F(LangTest, TernaryExpression) {
   EXPECT_EQ(Get("b").as_string(), "small");
 }
 
-TEST_F(LangTest, InOperator) {
+TEST_P(LangTest, InOperator) {
   ASSERT_TRUE(Run("a = 2 in [1, 2, 3]\n"
                   "b = \"k\" in {\"k\": 1}\n"
                   "c = 5 not in [1, 2]\n")
@@ -203,7 +269,7 @@ TEST_F(LangTest, InOperator) {
   EXPECT_TRUE(Get("c").as_bool());
 }
 
-TEST_F(LangTest, ListsAndDicts) {
+TEST_P(LangTest, ListsAndDicts) {
   ASSERT_TRUE(Run("l = [1, 2, 3]\n"
                   "l[1] = 20\n"
                   "d = {\"a\": 1}\n"
@@ -215,7 +281,7 @@ TEST_F(LangTest, ListsAndDicts) {
   EXPECT_EQ(Get("n").as_int(), 5);
 }
 
-TEST_F(LangTest, ReferenceSemanticsForContainers) {
+TEST_P(LangTest, ReferenceSemanticsForContainers) {
   ASSERT_TRUE(Run("a = {\"x\": 1}\n"
                   "b = a\n"
                   "b[\"x\"] = 99\n"
@@ -224,7 +290,7 @@ TEST_F(LangTest, ReferenceSemanticsForContainers) {
   EXPECT_EQ(Get("v").as_int(), 99);
 }
 
-TEST_F(LangTest, AttributeAccessOnDicts) {
+TEST_P(LangTest, AttributeAccessOnDicts) {
   ASSERT_TRUE(Run("cfg = {\"port\": 8089}\n"
                   "p = cfg.port\n"
                   "cfg.port = 9090\n"
@@ -234,12 +300,12 @@ TEST_F(LangTest, AttributeAccessOnDicts) {
   EXPECT_EQ(Get("q").as_int(), 9090);
 }
 
-TEST_F(LangTest, IndexOutOfRangeFails) {
+TEST_P(LangTest, IndexOutOfRangeFails) {
   EXPECT_FALSE(Run("a = [1][5]\n").ok());
   EXPECT_FALSE(Run("a = {\"x\": 1}[\"y\"]\n").ok());
 }
 
-TEST_F(LangTest, UndefinedNameFails) {
+TEST_P(LangTest, UndefinedNameFails) {
   Status s = Run("a = nosuchname\n");
   EXPECT_FALSE(s.ok());
   EXPECT_NE(s.message().find("nosuchname"), std::string::npos);
@@ -247,7 +313,7 @@ TEST_F(LangTest, UndefinedNameFails) {
 
 // ---- Statements -------------------------------------------------------------
 
-TEST_F(LangTest, IfElifElse) {
+TEST_P(LangTest, IfElifElse) {
   ASSERT_TRUE(Run("x = 7\n"
                   "if x > 10:\n"
                   "    r = \"big\"\n"
@@ -259,7 +325,7 @@ TEST_F(LangTest, IfElifElse) {
   EXPECT_EQ(Get("r").as_string(), "medium");
 }
 
-TEST_F(LangTest, ForLoopOverList) {
+TEST_P(LangTest, ForLoopOverList) {
   ASSERT_TRUE(Run("total = 0\n"
                   "for x in [1, 2, 3, 4]:\n"
                   "    total = total + x\n")
@@ -267,7 +333,7 @@ TEST_F(LangTest, ForLoopOverList) {
   EXPECT_EQ(Get("total").as_int(), 10);
 }
 
-TEST_F(LangTest, ForLoopOverRangeWithBreakContinue) {
+TEST_P(LangTest, ForLoopOverRangeWithBreakContinue) {
   ASSERT_TRUE(Run("total = 0\n"
                   "for i in range(10):\n"
                   "    if i == 3:\n"
@@ -279,7 +345,7 @@ TEST_F(LangTest, ForLoopOverRangeWithBreakContinue) {
   EXPECT_EQ(Get("total").as_int(), 0 + 1 + 2 + 4 + 5);
 }
 
-TEST_F(LangTest, ForLoopUnpacking) {
+TEST_P(LangTest, ForLoopUnpacking) {
   ASSERT_TRUE(Run("acc = \"\"\n"
                   "for k, v in items({\"a\": 1, \"b\": 2}):\n"
                   "    acc = acc + k + str(v)\n")
@@ -287,7 +353,7 @@ TEST_F(LangTest, ForLoopUnpacking) {
   EXPECT_EQ(Get("acc").as_string(), "a1b2");
 }
 
-TEST_F(LangTest, ForLoopOverDictYieldsKeys) {
+TEST_P(LangTest, ForLoopOverDictYieldsKeys) {
   ASSERT_TRUE(Run("acc = \"\"\n"
                   "for k in {\"b\": 1, \"a\": 2}:\n"
                   "    acc = acc + k\n")
@@ -295,7 +361,7 @@ TEST_F(LangTest, ForLoopOverDictYieldsKeys) {
   EXPECT_EQ(Get("acc").as_string(), "ab");  // Sorted (deterministic).
 }
 
-TEST_F(LangTest, WhileLoop) {
+TEST_P(LangTest, WhileLoop) {
   ASSERT_TRUE(Run("n = 0\n"
                   "while n < 5:\n"
                   "    n = n + 1\n")
@@ -303,18 +369,20 @@ TEST_F(LangTest, WhileLoop) {
   EXPECT_EQ(Get("n").as_int(), 5);
 }
 
-TEST_F(LangTest, InfiniteLoopHitsStepLimit) {
-  interp_ = std::make_unique<Interp>(nullptr, Interp::Hooks{});
+TEST_P(LangTest, InfiniteLoopHitsStepLimit) {
+  // Both engines stop with the step-limit error, though a "step" counts
+  // different work on each.
+  EngineSession session(GetParam(), nullptr);
   auto module = ParseCsl("while True:\n    pass\n", "t");
   ASSERT_TRUE(module.ok());
-  interp_->set_step_limit(10'000);
-  auto globals = interp_->NewEnvironment(interp_->MakeBaseEnvironment());
-  Status s = interp_->EvalModule(**module, globals, false);
+  session.set_step_limit(10'000);
+  auto globals = session.NewGlobals();
+  Status s = session.Eval(*module, globals, false);
   EXPECT_FALSE(s.ok());
   EXPECT_NE(s.message().find("step limit"), std::string::npos);
 }
 
-TEST_F(LangTest, AugmentedAssignment) {
+TEST_P(LangTest, AugmentedAssignment) {
   ASSERT_TRUE(Run("x = 10\n"
                   "x += 5\n"
                   "x -= 3\n"
@@ -326,7 +394,7 @@ TEST_F(LangTest, AugmentedAssignment) {
   EXPECT_EQ(Get("d").as_dict().at("n").as_int(), 11);
 }
 
-TEST_F(LangTest, AssertPassesAndFails) {
+TEST_P(LangTest, AssertPassesAndFails) {
   EXPECT_TRUE(Run("assert 1 < 2, \"math works\"\n").ok());
   Status s = Run("assert 2 < 1, \"custom failure message\"\n");
   EXPECT_FALSE(s.ok());
@@ -335,7 +403,7 @@ TEST_F(LangTest, AssertPassesAndFails) {
 
 // ---- Functions --------------------------------------------------------------
 
-TEST_F(LangTest, FunctionDefinitionAndCall) {
+TEST_P(LangTest, FunctionDefinitionAndCall) {
   ASSERT_TRUE(Run("def add(a, b):\n"
                   "    return a + b\n"
                   "r = add(2, 3)\n")
@@ -343,7 +411,7 @@ TEST_F(LangTest, FunctionDefinitionAndCall) {
   EXPECT_EQ(Get("r").as_int(), 5);
 }
 
-TEST_F(LangTest, KeywordArgumentsAndDefaults) {
+TEST_P(LangTest, KeywordArgumentsAndDefaults) {
   ASSERT_TRUE(Run("def make(name, size=10, tag=\"x\"):\n"
                   "    return {\"name\": name, \"size\": size, \"tag\": tag}\n"
                   "a = make(\"cache\")\n"
@@ -355,29 +423,29 @@ TEST_F(LangTest, KeywordArgumentsAndDefaults) {
   EXPECT_EQ(Get("c").as_dict().at("size").as_int(), 1);
 }
 
-TEST_F(LangTest, MissingArgumentFails) {
+TEST_P(LangTest, MissingArgumentFails) {
   Status s = Run("def f(a):\n    return a\nr = f()\n");
   EXPECT_FALSE(s.ok());
   EXPECT_NE(s.message().find("missing required argument"), std::string::npos);
 }
 
-TEST_F(LangTest, UnknownKeywordFails) {
+TEST_P(LangTest, UnknownKeywordFails) {
   Status s = Run("def f(a):\n    return a\nr = f(a=1, b=2)\n");
   EXPECT_FALSE(s.ok());
 }
 
-TEST_F(LangTest, DuplicateBindingFails) {
+TEST_P(LangTest, DuplicateBindingFails) {
   Status s = Run("def f(a):\n    return a\nr = f(1, a=2)\n");
   EXPECT_FALSE(s.ok());
 }
 
-TEST_F(LangTest, DuplicateKeywordArgumentRejectedAtParse) {
+TEST_P(LangTest, DuplicateKeywordArgumentRejectedAtParse) {
   Status s = Run("def f(a, b=1):\n    return a\nr = f(a=1, a=2)\n");
   EXPECT_FALSE(s.ok());
   EXPECT_NE(s.message().find("duplicate keyword"), std::string::npos);
 }
 
-TEST_F(LangTest, NestedAttributeAssignment) {
+TEST_P(LangTest, NestedAttributeAssignment) {
   ASSERT_TRUE(Run("cfg = {\"outer\": {\"inner\": {\"v\": 1}}}\n"
                   "cfg.outer.inner.v = 42\n"
                   "r = cfg[\"outer\"][\"inner\"][\"v\"]\n")
@@ -385,7 +453,7 @@ TEST_F(LangTest, NestedAttributeAssignment) {
   EXPECT_EQ(Get("r").as_int(), 42);
 }
 
-TEST_F(LangTest, ClosuresCaptureEnvironment) {
+TEST_P(LangTest, ClosuresCaptureEnvironment) {
   ASSERT_TRUE(Run("base = 100\n"
                   "def adder(x):\n"
                   "    return base + x\n"
@@ -394,7 +462,7 @@ TEST_F(LangTest, ClosuresCaptureEnvironment) {
   EXPECT_EQ(Get("r").as_int(), 105);
 }
 
-TEST_F(LangTest, RecursionWorksAndIsBounded) {
+TEST_P(LangTest, RecursionWorksAndIsBounded) {
   ASSERT_TRUE(Run("def fact(n):\n"
                   "    if n <= 1:\n"
                   "        return 1\n"
@@ -408,12 +476,12 @@ TEST_F(LangTest, RecursionWorksAndIsBounded) {
   EXPECT_NE(s.message().find("recursion"), std::string::npos);
 }
 
-TEST_F(LangTest, ReturnWithoutValueGivesNone) {
+TEST_P(LangTest, ReturnWithoutValueGivesNone) {
   ASSERT_TRUE(Run("def f():\n    return\nr = f()\n").ok());
   EXPECT_TRUE(Get("r").is_null());
 }
 
-TEST_F(LangTest, FunctionsAreValues) {
+TEST_P(LangTest, FunctionsAreValues) {
   ASSERT_TRUE(Run("def double(x):\n"
                   "    return x * 2\n"
                   "def apply(f, v):\n"
@@ -425,7 +493,7 @@ TEST_F(LangTest, FunctionsAreValues) {
 
 // ---- Builtins ---------------------------------------------------------------
 
-TEST_F(LangTest, BuiltinConversions) {
+TEST_P(LangTest, BuiltinConversions) {
   ASSERT_TRUE(Run("a = int(\"42\")\n"
                   "b = float(\"2.5\")\n"
                   "c = str(7)\n"
@@ -439,11 +507,11 @@ TEST_F(LangTest, BuiltinConversions) {
   EXPECT_EQ(Get("e").as_int(), 4);
 }
 
-TEST_F(LangTest, BuiltinIntRejectsGarbage) {
+TEST_P(LangTest, BuiltinIntRejectsGarbage) {
   EXPECT_FALSE(Run("a = int(\"4x\")\n").ok());
 }
 
-TEST_F(LangTest, BuiltinCollections) {
+TEST_P(LangTest, BuiltinCollections) {
   ASSERT_TRUE(Run("l = [3, 1, 2]\n"
                   "s = sorted(l)\n"
                   "mn = min(l)\n"
@@ -468,7 +536,7 @@ TEST_F(LangTest, BuiltinCollections) {
   EXPECT_TRUE(Get("hk").as_bool());
 }
 
-TEST_F(LangTest, BuiltinStringHelpers) {
+TEST_P(LangTest, BuiltinStringHelpers) {
   ASSERT_TRUE(Run("j = join(\",\", [\"a\", \"b\"])\n"
                   "sp = split(\"a-b-c\", \"-\")\n"
                   "f = format(\"{} has {} cores\", \"host\", 8)\n")
@@ -478,13 +546,13 @@ TEST_F(LangTest, BuiltinStringHelpers) {
   EXPECT_EQ(Get("f").as_string(), "host has 8 cores");
 }
 
-TEST_F(LangTest, BuiltinFail) {
+TEST_P(LangTest, BuiltinFail) {
   Status s = Run("fail(\"deliberate\")\n");
   EXPECT_FALSE(s.ok());
   EXPECT_NE(s.message().find("deliberate"), std::string::npos);
 }
 
-TEST_F(LangTest, StringBuiltins) {
+TEST_P(LangTest, StringBuiltins) {
   ASSERT_TRUE(Run("a = startswith(\"feed/cache.json\", \"feed/\")\n"
                   "b = endswith(\"cache.json\", \".json\")\n"
                   "c = upper(\"abc\")\n"
@@ -500,13 +568,13 @@ TEST_F(LangTest, StringBuiltins) {
   EXPECT_EQ(Get("f").as_string(), "a/b/c");
 }
 
-TEST_F(LangTest, StringBuiltinsRejectBadArgs) {
+TEST_P(LangTest, StringBuiltinsRejectBadArgs) {
   EXPECT_FALSE(Run("x = startswith(1, \"a\")\n").ok());
   EXPECT_FALSE(Run("x = replace(\"s\", \"\", \"y\")\n").ok());
   EXPECT_FALSE(Run("x = upper(3)\n").ok());
 }
 
-TEST_F(LangTest, MergeDeepMergesDicts) {
+TEST_P(LangTest, MergeDeepMergesDicts) {
   ASSERT_TRUE(Run("base = {\"a\": 1, \"nested\": {\"x\": 1, \"y\": 2},"
                   " \"list\": [1, 2]}\n"
                   "child = merge(base, {\"b\": 9, \"nested\": {\"y\": 20},"
@@ -520,7 +588,7 @@ TEST_F(LangTest, MergeDeepMergesDicts) {
   EXPECT_EQ(child.at("list").as_list().size(), 1u);  // Lists replaced whole.
 }
 
-TEST_F(LangTest, MergeDoesNotMutateBase) {
+TEST_P(LangTest, MergeDoesNotMutateBase) {
   ASSERT_TRUE(Run("base = {\"a\": 1}\n"
                   "child = merge(base, {\"a\": 2})\n"
                   "orig = base[\"a\"]\n")
@@ -529,12 +597,12 @@ TEST_F(LangTest, MergeDoesNotMutateBase) {
   EXPECT_EQ(Get("child").as_dict().at("a").as_int(), 2);
 }
 
-TEST_F(LangTest, MergeRequiresDicts) {
+TEST_P(LangTest, MergeRequiresDicts) {
   EXPECT_FALSE(Run("x = merge({\"a\": 1}, [1])\n").ok());
   EXPECT_FALSE(Run("x = merge(1, {\"a\": 1})\n").ok());
 }
 
-TEST_F(LangTest, RangeVariants) {
+TEST_P(LangTest, RangeVariants) {
   ASSERT_TRUE(Run("a = range(3)\n"
                   "b = range(2, 5)\n"
                   "c = range(10, 0, -3)\n")
@@ -560,7 +628,14 @@ class LangSchemaTest : public LangTest {
   }
 };
 
-TEST_F(LangSchemaTest, ConstructorBuildsTypedValue) {
+INSTANTIATE_TEST_SUITE_P(
+    Engines, LangSchemaTest,
+    ::testing::Values(Engine::kVm, Engine::kReference),
+    [](const ::testing::TestParamInfo<Engine>& info) {
+      return EngineName(info.param);
+    });
+
+TEST_P(LangSchemaTest, ConstructorBuildsTypedValue) {
   ASSERT_TRUE(Run("j = Job(name=\"cache\", cpu=4)\n"
                   "n = j.name\n")
                   .ok());
@@ -568,31 +643,32 @@ TEST_F(LangSchemaTest, ConstructorBuildsTypedValue) {
   EXPECT_EQ(Get("n").as_string(), "cache");
 }
 
-TEST_F(LangSchemaTest, ConstructorRejectsUnknownField) {
+TEST_P(LangSchemaTest, ConstructorRejectsUnknownField) {
   Status s = Run("j = Job(nmae=\"typo\")\n");
   EXPECT_FALSE(s.ok());
   EXPECT_NE(s.message().find("nmae"), std::string::npos);
 }
 
-TEST_F(LangSchemaTest, ConstructorRejectsPositionalArgs) {
+TEST_P(LangSchemaTest, ConstructorRejectsPositionalArgs) {
   EXPECT_FALSE(Run("j = Job(\"cache\")\n").ok());
 }
 
-TEST_F(LangSchemaTest, EnumNamespace) {
+TEST_P(LangSchemaTest, EnumNamespace) {
   ASSERT_TRUE(Run("v = Level.HIGH\n").ok());
   EXPECT_EQ(Get("v").as_int(), 5);
 }
 
-TEST_F(LangSchemaTest, EnumUnknownValueFails) {
+TEST_P(LangSchemaTest, EnumUnknownValueFails) {
   EXPECT_FALSE(Run("v = Level.MEDIUM\n").ok());
 }
 
 // ---- Robustness: random inputs never crash the front end ----------------------
 
-class LangFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+class LangFuzzTest
+    : public ::testing::TestWithParam<std::tuple<Engine, uint64_t>> {};
 
 TEST_P(LangFuzzTest, RandomTokenSoupNeverCrashes) {
-  Rng rng(GetParam());
+  Rng rng(std::get<1>(GetParam()));
   const char* fragments[] = {
       "def ",   "return ", "if ",  "else:",  "for ",  "in ",    "while ",
       "x",      "y",       "f",    "(",      ")",     "[",      "]",
@@ -614,14 +690,21 @@ TEST_P(LangFuzzTest, RandomTokenSoupNeverCrashes) {
     if (!module.ok()) {
       continue;
     }
-    Interp interp(nullptr, Interp::Hooks{});
-    interp.set_step_limit(50'000);
-    auto globals = interp.NewEnvironment(interp.MakeBaseEnvironment());
-    (void)interp.EvalModule(**module, globals, false);
+    EngineSession session(std::get<0>(GetParam()), nullptr);
+    session.set_step_limit(50'000);
+    auto globals = session.NewGlobals();
+    (void)session.Eval(*module, globals, false);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, LangFuzzTest, ::testing::Values(1, 2, 3, 4, 5));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, LangFuzzTest,
+    ::testing::Combine(::testing::Values(Engine::kVm, Engine::kReference),
+                       ::testing::Values(1, 2, 3, 4, 5)),
+    [](const ::testing::TestParamInfo<LangFuzzTest::ParamType>& info) {
+      return EngineName(std::get<0>(info.param)) + "_" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 // ---- Value model ------------------------------------------------------------
 

@@ -1,4 +1,4 @@
-#include "src/lang/interp.h"
+#include "tests/reference/interp.h"
 
 #include <algorithm>
 #include <cmath>
@@ -12,29 +12,9 @@ namespace configerator {
 
 namespace {
 
-#define RETURN_IF_ERROR_R(expr)              \
-  do {                                       \
-    ::configerator::Status _s = (expr);      \
-    if (!_s.ok()) {                          \
-      return _s;                             \
-    }                                        \
-  } while (false)
-
 constexpr int kMaxCallDepth = 200;
 
 }  // namespace
-
-Value* Environment::Find(const std::string& name) {
-  Environment* env = this;
-  while (env != nullptr) {
-    auto it = env->vars_.find(name);
-    if (it != env->vars_.end()) {
-      return &it->second;
-    }
-    env = env->parent_.get();
-  }
-  return nullptr;
-}
 
 Interp::Interp(const SchemaRegistry* registry, Hooks hooks)
     : registry_(registry), hooks_(std::move(hooks)) {}
@@ -128,7 +108,7 @@ Result<Interp::Flow> Interp::ExecBlock(const std::vector<StmtPtr>& body,
 
 Result<Interp::Flow> Interp::ExecStmt(const Stmt& stmt,
                                       const std::shared_ptr<Environment>& env) {
-  RETURN_IF_ERROR_R(Tick(stmt.line));
+  RETURN_IF_ERROR(Tick(stmt.line));
   switch (stmt.kind) {
     case Stmt::Kind::kExpr: {
       ASSIGN_OR_RETURN(Value ignored, Eval(*stmt.target, env));
@@ -137,7 +117,7 @@ Result<Interp::Flow> Interp::ExecStmt(const Stmt& stmt,
     }
     case Stmt::Kind::kAssign: {
       ASSIGN_OR_RETURN(Value value, Eval(*stmt.value, env));
-      RETURN_IF_ERROR_R(Assign(*stmt.target, std::move(value), env));
+      RETURN_IF_ERROR(Assign(*stmt.target, std::move(value), env));
       return Flow{};
     }
     case Stmt::Kind::kAugAssign: {
@@ -159,7 +139,7 @@ Result<Interp::Flow> Interp::ExecStmt(const Stmt& stmt,
       synth.lhs = std::move(lhs);
       synth.rhs = std::move(rhs);
       ASSIGN_OR_RETURN(Value combined, EvalBinary(synth, env));
-      RETURN_IF_ERROR_R(Assign(*stmt.target, std::move(combined), env));
+      RETURN_IF_ERROR(Assign(*stmt.target, std::move(combined), env));
       return Flow{};
     }
     case Stmt::Kind::kIf: {
@@ -178,7 +158,7 @@ Result<Interp::Flow> Interp::ExecStmt(const Stmt& stmt,
       }
       std::vector<Value> items = std::move(materialized).value();
       for (Value& item : items) {
-        RETURN_IF_ERROR_R(Tick(stmt.line));
+        RETURN_IF_ERROR(Tick(stmt.line));
         if (stmt.loop_vars.size() == 1) {
           env->Define(stmt.loop_vars[0], std::move(item));
         } else {
@@ -201,7 +181,7 @@ Result<Interp::Flow> Interp::ExecStmt(const Stmt& stmt,
     }
     case Stmt::Kind::kWhile: {
       while (true) {
-        RETURN_IF_ERROR_R(Tick(stmt.line));
+        RETURN_IF_ERROR(Tick(stmt.line));
         ASSIGN_OR_RETURN(Value cond, Eval(*stmt.target, env));
         if (!cond.Truthy()) {
           break;
@@ -298,7 +278,7 @@ Status Interp::Assign(const Expr& target, Value value,
 }
 
 Result<Value> Interp::Eval(const Expr& expr, const std::shared_ptr<Environment>& env) {
-  RETURN_IF_ERROR_R(Tick(expr.line));
+  RETURN_IF_ERROR(Tick(expr.line));
   switch (expr.kind) {
     case Expr::Kind::kLiteral:
       return expr.literal;
@@ -422,7 +402,7 @@ Result<Value> Interp::EvalCall(const Expr& expr,
         if (!hooks_.import_schema) {
           return EvalError(expr.line, "schema imports not available here");
         }
-        RETURN_IF_ERROR_R(hooks_.import_schema(path));
+        RETURN_IF_ERROR(hooks_.import_schema(path));
         // Newly registered schemas need constructors in the base env.
         if (registry_ != nullptr && base_env_ != nullptr) {
           RegisterSchemaConstructors(*registry_, base_env_.get());
@@ -474,7 +454,7 @@ Result<Value> Interp::EvalCall(const Expr& expr,
       }
       ASSIGN_OR_RETURN(Value value, Eval(*value_expr, env));
       if (exports_enabled_ && hooks_.export_config) {
-        RETURN_IF_ERROR_R(hooks_.export_config(export_name, value));
+        RETURN_IF_ERROR(hooks_.export_config(export_name, value));
       }
       return Value::Null();
     }
@@ -564,6 +544,49 @@ Result<Value> Interp::CallValue(const Value& fn, std::vector<Value> args,
   return Value::Null();
 }
 
-#undef RETURN_IF_ERROR_R
+namespace {
+
+// Parses each module and walks it; the ASTs stay alive for the session
+// because interpreter closures point into them.
+class InterpEngine : public CslEngine {
+ public:
+  InterpEngine(const SchemaRegistry* registry, EngineHooks hooks)
+      : interp_(registry, std::move(hooks)) {}
+
+  std::shared_ptr<Environment> NewGlobals() override {
+    return interp_.NewEnvironment(interp_.MakeBaseEnvironment());
+  }
+
+  Status EvalSource(const std::string& path, const std::string& source,
+                    const std::shared_ptr<Environment>& globals,
+                    bool exports_enabled) override {
+    auto module = ParseCsl(source, path);
+    if (!module.ok()) {
+      return module.status();
+    }
+    modules_alive_.push_back(*module);
+    return interp_.EvalModule(**module, globals, exports_enabled);
+  }
+
+  Result<Value> CallValue(const Value& fn, std::vector<Value> args,
+                          std::map<std::string, Value> kwargs) override {
+    return interp_.CallValue(fn, std::move(args), std::move(kwargs));
+  }
+
+ private:
+  std::vector<std::shared_ptr<Module>> modules_alive_;
+  Interp interp_;
+};
+
+}  // namespace
+
+Result<CompileOutput> CompileWithReferenceInterpreter(
+    const FileReader& reader, const std::string& entry_path) {
+  return CompileEntry(
+      reader, entry_path,
+      [](const SchemaRegistry* registry, EngineHooks hooks) {
+        return std::make_unique<InterpEngine>(registry, std::move(hooks));
+      });
+}
 
 }  // namespace configerator

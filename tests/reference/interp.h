@@ -1,75 +1,34 @@
-// Tree-walking evaluator for the config source language.
+// Tree-walking reference evaluator for the config source language — the
+// executable specification of CSL semantics. Production runs the bytecode VM
+// (src/lang/vm.h); this interpreter lives with the tests and benches that
+// hold the VM to it (tests/vm_differential_test.cc, tests/lang_test.cc,
+// bench/csl_vm.cc) and is never linked into src/.
 //
-// The interpreter is sandboxed on purpose: no filesystem, no network, no
-// clock — config programs are pure functions from source (plus imported
-// modules) to exported JSON, which is what makes compiled configs
-// reproducible and reviewable. Imports and exports are delegated to hooks
-// supplied by the compiler, and a step limit bounds runaway config code.
+// It shares the VM's host surface (EngineHooks, Environment) and plugs into
+// the production compile pipeline as a CslEngine, so a differential run
+// exercises one import/export/type-check/validator path with two engines.
+// A step limit bounds runaway config code.
 
-#ifndef SRC_LANG_INTERP_H_
-#define SRC_LANG_INTERP_H_
+#ifndef TESTS_REFERENCE_INTERP_H_
+#define TESTS_REFERENCE_INTERP_H_
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/lang/ast.h"
+#include "src/lang/compiler.h"
+#include "src/lang/environment.h"
 #include "src/lang/value.h"
 #include "src/schema/schema.h"
 #include "src/util/status.h"
 
 namespace configerator {
 
-// Lexical scope. Lookup walks the parent chain; assignment writes the
-// innermost scope (Python-like).
-//
-// Lifetime: closures capture their defining environment by shared_ptr, and
-// the environment holds the closure value — a reference cycle. The Interp
-// therefore registers every environment it hands out and clears them all on
-// destruction, breaking the cycles (a session-scoped arena, matching how
-// compile sessions and sitevar stores own their interpreter).
-class Environment {
- public:
-  explicit Environment(std::shared_ptr<Environment> parent = nullptr)
-      : parent_(std::move(parent)) {}
-
-  // Finds a binding anywhere in the chain; nullptr if absent.
-  Value* Find(const std::string& name);
-
-  // Defines or overwrites in this scope.
-  void Define(const std::string& name, Value value) {
-    vars_[name] = std::move(value);
-  }
-
-  const std::map<std::string, Value>& vars() const { return vars_; }
-
-  // Drops all bindings and the parent link (cycle breaking at session end).
-  void Clear() {
-    vars_.clear();
-    parent_.reset();
-  }
-
- private:
-  std::map<std::string, Value> vars_;
-  std::shared_ptr<Environment> parent_;
-};
-
 class Interp {
  public:
-  struct Hooks {
-    // Resolves `import_python(path, ...)`: evaluates (or returns cached)
-    // module globals.
-    std::function<Result<std::shared_ptr<Environment>>(const std::string& path)>
-        import_module;
-    // Resolves `import_thrift(path)`: loads schemas into the registry.
-    std::function<Status(const std::string& path)> import_schema;
-    // Receives `export_if_last(value)` / `export(name, value)` calls.
-    // `name` is empty for export_if_last (compiler names it after the file).
-    std::function<Status(const std::string& name, const Value& value)>
-        export_config;
-  };
+  using Hooks = EngineHooks;
 
   Interp(const SchemaRegistry* registry, Hooks hooks);
   ~Interp();
@@ -139,6 +98,12 @@ class Interp {
   int call_depth_ = 0;
 };
 
+// Compiles `entry_path` through the production compile pipeline
+// (CompileEntry) with the reference interpreter as its engine. No unit cache
+// and no output memoization: every module is parsed and walked.
+Result<CompileOutput> CompileWithReferenceInterpreter(
+    const FileReader& reader, const std::string& entry_path);
+
 }  // namespace configerator
 
-#endif  // SRC_LANG_INTERP_H_
+#endif  // TESTS_REFERENCE_INTERP_H_

@@ -14,7 +14,7 @@
 
 #include "src/analysis/semdiff.h"
 #include "src/gatekeeper/context.h"
-#include "src/gatekeeper/project.h"
+#include "src/gatekeeper/naive.h"
 #include "src/lang/compiler.h"
 #include "src/util/rng.h"
 #include "src/util/strings.h"
@@ -222,8 +222,8 @@ TEST(SemdiffDifferentialTest, NoOpCertificatesNeverLie) {
       auto old_json = Json::Parse(old_tree.Gatekeeper());
       auto new_json = Json::Parse(tree.Gatekeeper());
       ASSERT_TRUE(old_json.ok() && new_json.ok());
-      auto old_project = GatekeeperProject::FromJson(*old_json);
-      auto new_project = GatekeeperProject::FromJson(*new_json);
+      auto old_project = NaiveEvaluator::FromJson(*old_json);
+      auto new_project = NaiveEvaluator::FromJson(*new_json);
       ASSERT_TRUE(old_project.ok() && new_project.ok());
       ++gk_noop_checks;
       for (int u = 0; u < kUsersPerProject; ++u) {

@@ -1,5 +1,6 @@
 // Differential fuzz battery: the bytecode VM against the tree-walking
-// interpreter, which is the executable specification of CSL semantics.
+// reference interpreter (tests/reference/interp.h), which is the executable
+// specification of CSL semantics.
 //
 // A seeded generator produces random CSL programs exercising every AST node
 // — literals, names, list/dict construction, unary/binary/ternary
@@ -7,8 +8,9 @@
 // get/set, augmented assignment, if/elif/else, for (with unpacking),
 // while, break/continue (inside and outside loops), def with defaults and
 // kwargs, nested closures, assert, builtin calls, import special forms and
-// exports. Each program compiles through the same ConfigCompiler facade
-// twice, once per engine, and the outcomes must match exactly:
+// exports. Each program compiles through the same compile pipeline
+// (CompileEntry) twice — the VM via ConfigCompiler, the interpreter via
+// CompileWithReferenceInterpreter — and the outcomes must match exactly:
 //
 //   * success/failure must agree,
 //   * on success, exported JSON artifacts must be bit-identical,
@@ -34,6 +36,7 @@
 #include "src/util/ddmin.h"
 #include "src/util/rng.h"
 #include "src/util/strings.h"
+#include "tests/reference/interp.h"
 
 namespace configerator {
 namespace {
@@ -485,17 +488,21 @@ struct Outcome {
   std::vector<std::string> artifacts;
 };
 
+enum class Engine { kVm, kReference };
+
+// Compiles entry.cconf through the shared compile pipeline: on the
+// production VM via ConfigCompiler, or on the reference interpreter.
 Outcome RunEngine(const std::map<std::string, std::string>& files,
-                  CompilerOptions::Engine engine) {
+                  Engine engine) {
   InMemorySources sources;
   for (const auto& [path, content] : files) {
     sources.Put(path, content);
   }
-  CompilerOptions options;
-  options.engine = engine;
-  ConfigCompiler compiler(sources.AsReader(), options);
+  Result<CompileOutput> output =
+      engine == Engine::kVm
+          ? ConfigCompiler(sources.AsReader()).Compile("entry.cconf")
+          : CompileWithReferenceInterpreter(sources.AsReader(), "entry.cconf");
   Outcome outcome;
-  auto output = compiler.Compile("entry.cconf");
   if (!output.ok()) {
     outcome.status = output.status();
     return outcome;
@@ -510,8 +517,8 @@ Outcome RunEngine(const std::map<std::string, std::string>& files,
 // Empty when the engines agree; otherwise a human-readable description.
 std::optional<std::string> Divergence(
     const std::map<std::string, std::string>& files) {
-  Outcome vm = RunEngine(files, CompilerOptions::Engine::kBytecodeVm);
-  Outcome interp = RunEngine(files, CompilerOptions::Engine::kInterpreter);
+  Outcome vm = RunEngine(files, Engine::kVm);
+  Outcome interp = RunEngine(files, Engine::kReference);
   if (!(vm.status == interp.status)) {
     return "status diverged:\n  vm:     " + vm.status.ToString() +
            "\n  interp: " + interp.status.ToString();
@@ -549,8 +556,7 @@ TEST(VmDifferential, SeededProgramsAgreeOnArtifactsAndErrors) {
     auto files = program.Files();
     auto divergence = Divergence(files);
     if (!divergence.has_value()) {
-      if (!RunEngine(files, CompilerOptions::Engine::kBytecodeVm)
-               .status.ok()) {
+      if (!RunEngine(files, Engine::kVm).status.ok()) {
         ++failing_programs;
       }
       continue;

@@ -16,6 +16,7 @@
 #include "src/lang/unit_cache.h"
 #include "src/lang/vm.h"
 #include "src/obs/metrics.h"
+#include "tests/reference/interp.h"
 
 namespace configerator {
 namespace {
@@ -339,18 +340,8 @@ struct EngineResult {
   std::vector<std::string> dumps;
 };
 
-EngineResult CompileWith(const InMemorySources& sources,
-                         const std::string& entry,
-                         CompilerOptions::Engine engine,
-                         CompiledUnitCache* cache = nullptr,
-                         MetricsRegistry* metrics = nullptr) {
-  CompilerOptions options;
-  options.engine = engine;
-  options.unit_cache = cache;
-  options.metrics = metrics;
-  ConfigCompiler compiler(sources.AsReader(), options);
+EngineResult ToEngineResult(const Result<CompileOutput>& output) {
   EngineResult result;
-  auto output = compiler.Compile(entry);
   if (!output.ok()) {
     result.status = output.status();
     return result;
@@ -359,6 +350,25 @@ EngineResult CompileWith(const InMemorySources& sources,
     result.dumps.push_back(config.path + "\n" + config.content.DumpPretty());
   }
   return result;
+}
+
+// Compiles on the production VM through ConfigCompiler.
+EngineResult CompileWith(const InMemorySources& sources,
+                         const std::string& entry,
+                         CompiledUnitCache* cache = nullptr,
+                         MetricsRegistry* metrics = nullptr) {
+  CompilerOptions options;
+  options.unit_cache = cache;
+  options.metrics = metrics;
+  ConfigCompiler compiler(sources.AsReader(), options);
+  return ToEngineResult(compiler.Compile(entry));
+}
+
+// Compiles on the reference interpreter through the same pipeline.
+EngineResult CompileWithReference(const InMemorySources& sources,
+                                  const std::string& entry) {
+  return ToEngineResult(
+      CompileWithReferenceInterpreter(sources.AsReader(), entry));
 }
 
 TEST(VmFacade, VmIsTheDefaultAndMatchesInterpreter) {
@@ -380,15 +390,13 @@ TEST(VmFacade, VmIsTheDefaultAndMatchesInterpreter) {
               "export(\"a.json\", jobs[0])\n"
               "export(\"b.json\", {\"count\": len(jobs)})\n");
 
-  EngineResult vm =
-      CompileWith(sources, "entry.cconf", CompilerOptions::Engine::kBytecodeVm);
-  EngineResult interp = CompileWith(sources, "entry.cconf",
-                                    CompilerOptions::Engine::kInterpreter);
+  EngineResult vm = CompileWith(sources, "entry.cconf");
+  EngineResult interp = CompileWithReference(sources, "entry.cconf");
   ASSERT_TRUE(vm.status.ok()) << vm.status;
   ASSERT_TRUE(interp.status.ok()) << interp.status;
   EXPECT_EQ(vm.dumps, interp.dumps);
 
-  // Default-constructed options run the VM: same artifacts again.
+  // A default-constructed compiler (private cache): same artifacts again.
   ConfigCompiler default_compiler(sources.AsReader());
   auto output = default_compiler.Compile("entry.cconf");
   ASSERT_TRUE(output.ok());
@@ -412,9 +420,7 @@ TEST(VmFacade, SharedCacheHitsAcrossCompilesAndInvalidatesOnEdit) {
   CompiledUnitCache cache;
   MetricsRegistry metrics;
   // The digest walk misses both units, then the session hash-hits them.
-  EngineResult r1 = CompileWith(sources, "e1.cconf",
-                                CompilerOptions::Engine::kBytecodeVm, &cache,
-                                &metrics);
+  EngineResult r1 = CompileWith(sources, "e1.cconf", &cache, &metrics);
   ASSERT_TRUE(r1.status.ok()) << r1.status;
   uint64_t misses_after_first =
       metrics.GetCounter("csl.unit_cache.misses")->value();
@@ -424,18 +430,14 @@ TEST(VmFacade, SharedCacheHitsAcrossCompilesAndInvalidatesOnEdit) {
   // Second entry shares lib.cinc: only its own body misses (in the digest
   // walk); lib.cinc's subtree digest replays from the node memo without
   // touching the unit cache, then both units hit during evaluation.
-  EngineResult r2 = CompileWith(sources, "e2.cconf",
-                                CompilerOptions::Engine::kBytecodeVm, &cache,
-                                &metrics);
+  EngineResult r2 = CompileWith(sources, "e2.cconf", &cache, &metrics);
   ASSERT_TRUE(r2.status.ok()) << r2.status;
   EXPECT_EQ(metrics.GetCounter("csl.unit_cache.misses")->value(), 3u);
   EXPECT_EQ(metrics.GetCounter("csl.unit_cache.hits")->value(), 4u);
 
   // Editing the shared module invalidates: recompile, results track the edit.
   sources.Put("lib.cinc", "A = 100\n");
-  EngineResult r3 = CompileWith(sources, "e1.cconf",
-                                CompilerOptions::Engine::kBytecodeVm, &cache,
-                                &metrics);
+  EngineResult r3 = CompileWith(sources, "e1.cconf", &cache, &metrics);
   ASSERT_TRUE(r3.status.ok()) << r3.status;
   EXPECT_GT(metrics.GetCounter("csl.unit_cache.misses")->value(),
             misses_after_first);
@@ -565,10 +567,8 @@ TEST(VmErrorParity, NestedCrossModuleCallPositions) {
               "x = outer(3)\n"               // Call site: entry.cconf:2.
               "export_if_last({\"x\": x})\n");
 
-  EngineResult vm =
-      CompileWith(sources, "entry.cconf", CompilerOptions::Engine::kBytecodeVm);
-  EngineResult interp = CompileWith(sources, "entry.cconf",
-                                    CompilerOptions::Engine::kInterpreter);
+  EngineResult vm = CompileWith(sources, "entry.cconf");
+  EngineResult interp = CompileWithReference(sources, "entry.cconf");
   ASSERT_FALSE(vm.status.ok());
   ASSERT_FALSE(interp.status.ok());
   EXPECT_EQ(vm.status, interp.status);
