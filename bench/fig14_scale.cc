@@ -1,6 +1,7 @@
 // Figure 14 at fleet scale: commit-to-fleet propagation latency with 1k, 10k,
 // and 100k subscribed servers, the push-vs-pull ablation re-run at each size,
-// and the million-device MobileConfig fleet modeled as cohorts. This is the
+// the §3.4 push-vs-pull table at the paper's argument scale, and the
+// million-device MobileConfig fleet modeled as cohorts. This is the
 // scaling companion to fig14_propagation_latency (which runs the full
 // landing-strip pipeline at small scale over a simulated week): here the
 // commit source writes directly to Zeus and the fleet is a ProxyFleet — two
@@ -13,12 +14,17 @@
 //   * scheduler throughput (events/sec) at each size — the calendar queue's
 //     near-linearity claim is the 100k:10k ratio,
 //   * push-vs-pull message/byte totals and staleness at each size,
+//   * the §3.4 ablation: 200 servers x 100 configs, an hour of updates, push
+//     against pull at 10/60/600 s poll intervals — messages, bytes and mean
+//     staleness over the update window. The paper chose push because empty
+//     polls are pure overhead at any rate and a stateless pull server makes
+//     every poll carry the client's whole interest list,
 //   * the 1M-device cohort model: polls/sec, update-delay quantiles, push
 //     vs pull freshness, and bandwidth estimated from a sampled fleet
 //     running the real sync protocol.
 //
-// --smoke runs only the 10k push leg and writes nothing (scripts/check.sh
-// --scale uses it as a fast end-to-end probe).
+// --smoke runs only the 10k push leg and writes nothing (the "scale" ctest
+// lane runs it as fig14_scale_smoke, a fast end-to-end probe).
 
 #include <chrono>
 #include <cstdio>
@@ -27,6 +33,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/distribution/fleet.h"
@@ -45,10 +52,24 @@ using namespace configerator;
 
 namespace {
 
-constexpr int kKeys = 4;
-constexpr int kCommits = 20;
-constexpr SimTime kCommitSpacing = 10 * kSimSecond;
-constexpr SimTime kFirstCommit = 20 * kSimSecond;
+// A commit stream: commit i writes key i % interest_list at
+// first + i * spacing, and every fleet server tracks all interest_list keys.
+struct Stream {
+  int interest_list;
+  int commits;
+  SimTime first;
+  SimTime spacing;
+  SimTime tail;  // The run goes on this long past the last commit slot.
+
+  SimTime end() const { return first + commits * spacing + tail; }
+};
+
+// The scale rows: a 4-key push stream of 20 commits, and a pull stream that
+// updates each key once a minute, polled every 60 s.
+constexpr Stream kPushStream = {4, 20, 20 * kSimSecond, 10 * kSimSecond,
+                                kSimMinute};
+constexpr Stream kPullStream = {4, 4, kSimMinute, kSimMinute,
+                                90 * kSimSecond};
 constexpr SimTime kPullInterval = 60 * kSimSecond;
 
 struct ScaleShape {
@@ -67,6 +88,15 @@ constexpr ScaleShape kScales[] = {
     {"100k", 2, 16, 3125}, // 32 clusters x 3122 = 99904.
 };
 
+// §3.4: 8 clusters x 25 = 200 fleet servers, each tracking 100 configs,
+// through an hour of updates (one a minute) plus a tail long enough for the
+// slowest poll interval to see the last one.
+constexpr ScaleShape kAblationShape = {"200", 2, 4, 28};
+constexpr Stream kAblationStream = {100, 60, kSimMinute, kSimMinute,
+                                    10 * kSimMinute};
+constexpr SimTime kAblationPollIntervals[] = {10 * kSimSecond, 60 * kSimSecond,
+                                              600 * kSimSecond};
+
 struct PushResult {
   size_t servers = 0;
   size_t observers = 0;
@@ -79,6 +109,9 @@ struct PushResult {
   size_t traces_recorded = 0;
   uint64_t traces_sampled_out = 0;
   size_t materialized_links = 0;
+  // Traffic from the first commit to the end of the run.
+  uint64_t window_messages = 0;
+  uint64_t window_bytes = 0;
 };
 
 struct PullResult {
@@ -87,6 +120,15 @@ struct PullResult {
   uint64_t polls = 0;
   uint64_t empty_polls = 0;
   SampleSet staleness;  // Seconds, publish -> client sees it.
+  // Traffic from the first commit to the end of the run.
+  uint64_t window_messages = 0;
+  uint64_t window_bytes = 0;
+};
+
+// Network totals when the first commit fires; the window counts start there.
+struct WindowStart {
+  uint64_t messages = 0;
+  uint64_t bytes = 0;
 };
 
 std::vector<ServerId> FleetHosts(const ScaleShape& shape) {
@@ -103,7 +145,7 @@ std::vector<ServerId> FleetHosts(const ScaleShape& shape) {
 
 std::string KeyName(int k) { return StrFormat("conf/scale%02d.json", k); }
 
-PushResult RunPush(const ScaleShape& shape) {
+PushResult RunPush(const ScaleShape& shape, const Stream& stream) {
   Simulator sim;
   Network net(&sim, Topology(shape.regions, shape.clusters_per_region,
                              shape.servers_per_cluster),
@@ -141,19 +183,23 @@ PushResult RunPush(const ScaleShape& shape) {
           result.latency.Add(SimToSeconds(sim.now() - it->second));
         }
       });
-  for (int k = 0; k < kKeys; ++k) {
+  for (int k = 0; k < stream.interest_list; ++k) {
     fleet.SubscribeAll(KeyName(k), /*spread=*/10 * kSimSecond);
   }
 
   ServerId writer{0, 0, 1};
-  for (int i = 0; i < kCommits; ++i) {
-    SimTime when = kFirstCommit + i * kCommitSpacing;
+  WindowStart window;
+  for (int i = 0; i < stream.commits; ++i) {
+    SimTime when = stream.first + i * stream.spacing;
     sim.ScheduleAt(when, [&, i, when] {
+      if (i == 0) {
+        window = {net.messages_sent(), net.bytes_sent()};
+      }
       std::string payload = StrFormat("scale-payload-%03d", i);
       published_at[payload] = when;
       TraceContext root = obs.tracer.StartTrace(
           StrFormat("scale-commit %d", i), "0.0.1", when);
-      zeus.Write(writer, KeyName(i % kKeys), payload,
+      zeus.Write(writer, KeyName(i % stream.interest_list), payload,
                  [&, root](Result<int64_t> zxid) {
                    if (zxid.ok() && root.valid()) {
                      obs.tracer.BindZxid(*zxid, root);
@@ -163,13 +209,14 @@ PushResult RunPush(const ScaleShape& shape) {
     });
   }
 
-  SimTime horizon = kFirstCommit + kCommits * kCommitSpacing + kSimMinute;
   auto wall_start = std::chrono::steady_clock::now();
-  sim.RunUntil(horizon);
+  sim.RunUntil(stream.end());
   auto wall_end = std::chrono::steady_clock::now();
 
   result.messages = net.messages_sent();
   result.bytes = net.bytes_sent();
+  result.window_messages = result.messages - window.messages;
+  result.window_bytes = result.bytes - window.bytes;
   result.sim_events = sim.processed_events();
   result.wall_s =
       std::chrono::duration<double>(wall_end - wall_start).count();
@@ -182,13 +229,14 @@ PushResult RunPush(const ScaleShape& shape) {
   return result;
 }
 
-PullResult RunPull(const ScaleShape& shape) {
+PullResult RunPull(const ScaleShape& shape, const Stream& stream,
+                   SimTime poll_interval) {
   Simulator sim;
   Network net(&sim, Topology(shape.regions, shape.clusters_per_region,
                              shape.servers_per_cluster),
               /*seed=*/15);
   PullService service(&net, ServerId{1, 0, 1});
-  for (int k = 0; k < kKeys; ++k) {
+  for (int k = 0; k < stream.interest_list; ++k) {
     service.Publish(KeyName(k), "initial");
   }
 
@@ -199,8 +247,8 @@ PullResult RunPull(const ScaleShape& shape) {
   clients.reserve(hosts.size());
   for (size_t i = 0; i < hosts.size(); ++i) {
     clients.push_back(std::make_unique<PullClient>(&net, &service, hosts[i],
-                                                   kPullInterval));
-    for (int k = 0; k < kKeys; ++k) {
+                                                   poll_interval));
+    for (int k = 0; k < stream.interest_list; ++k) {
       clients.back()->Track(
           KeyName(k),
           [&](const std::string&, const std::string& value, int64_t) {
@@ -211,21 +259,27 @@ PullResult RunPull(const ScaleShape& shape) {
           });
     }
     clients.back()->Start(/*initial_stagger=*/static_cast<SimTime>(
-        (i * static_cast<size_t>(kPullInterval)) / hosts.size()));
+        (i * static_cast<size_t>(poll_interval)) / hosts.size()));
   }
 
-  for (int k = 0; k < kKeys; ++k) {
-    SimTime when = (k + 1) * kSimMinute;
-    sim.ScheduleAt(when, [&, k, when] {
-      std::string payload = StrFormat("pull-payload-%02d", k);
+  WindowStart window;
+  for (int i = 0; i < stream.commits; ++i) {
+    SimTime when = stream.first + i * stream.spacing;
+    sim.ScheduleAt(when, [&, i, when] {
+      if (i == 0) {
+        window = {net.messages_sent(), net.bytes_sent()};
+      }
+      std::string payload = StrFormat("pull-payload-%02d", i);
       published_at[payload] = when;
-      service.Publish(KeyName(k), payload);
+      service.Publish(KeyName(i % stream.interest_list), payload);
     });
   }
-  sim.RunUntil((kKeys + 2) * kSimMinute + 30 * kSimSecond);
+  sim.RunUntil(stream.end());
 
   result.messages = net.messages_sent();
   result.bytes = net.bytes_sent();
+  result.window_messages = result.messages - window.messages;
+  result.window_bytes = result.bytes - window.bytes;
   for (const auto& client : clients) {
     result.polls += client->polls_sent();
     result.empty_polls += client->empty_polls();
@@ -245,6 +299,69 @@ Json HistJson(const SampleSet& samples) {
     json.Set("max", Json(samples.Percentile(100)));
   }
   return json;
+}
+
+Json AblationRow(const std::string& model, SimTime poll_interval,
+                 uint64_t messages, uint64_t bytes,
+                 const SampleSet& staleness) {
+  Json row = Json::MakeObject();
+  row.Set("model", Json(model));
+  row.Set("poll_interval_s", Json(SimToSeconds(poll_interval)));
+  row.Set("messages", Json(static_cast<int64_t>(messages)));
+  row.Set("bytes", Json(static_cast<int64_t>(bytes)));
+  row.Set("deliveries", Json(static_cast<int64_t>(staleness.size())));
+  row.Set("mean_staleness_s", Json(staleness.Mean()));
+  return row;
+}
+
+// §3.4: push against pull at three poll intervals on one fleet and one
+// update stream. Prints the table; returns its JSON section.
+Json RunPushVsPull() {
+  const Stream& stream = kAblationStream;
+  PushResult push = RunPush(kAblationShape, stream);
+  std::printf("\n§3.4 push vs pull: %zu servers x %d configs, %d updates "
+              "one a minute; traffic from the first update to %.0f min "
+              "after the last\n",
+              push.servers, stream.interest_list, stream.commits,
+              SimToSeconds(stream.tail + stream.spacing) / 60);
+  TextTable table({"model", "messages", "bytes", "mean staleness (s)"});
+  table.AddRow({"push (Zeus tree)", std::to_string(push.window_messages),
+                HumanBytes(static_cast<double>(push.window_bytes)),
+                StrFormat("%.2f", push.latency.Mean())});
+  Json rows = Json::MakeArray();
+  rows.Append(AblationRow("push", 0, push.window_messages, push.window_bytes,
+                          push.latency));
+  PullResult pull60;
+  for (SimTime interval : kAblationPollIntervals) {
+    PullResult pull = RunPull(kAblationShape, stream, interval);
+    table.AddRow({StrFormat("pull, %llds poll",
+                            static_cast<long long>(interval / kSimSecond)),
+                  std::to_string(pull.window_messages),
+                  HumanBytes(static_cast<double>(pull.window_bytes)),
+                  StrFormat("%.2f", pull.staleness.Mean())});
+    rows.Append(AblationRow("pull", interval, pull.window_messages,
+                            pull.window_bytes, pull.staleness));
+    if (interval == 60 * kSimSecond) {
+      pull60 = std::move(pull);
+    }
+  }
+  table.Print();
+  std::printf("pull@60s vs push: %.0fx the messages, %.0fx the bytes, "
+              "%.0fx the staleness\n",
+              static_cast<double>(pull60.window_messages) /
+                  static_cast<double>(push.window_messages),
+              static_cast<double>(pull60.window_bytes) /
+                  static_cast<double>(push.window_bytes),
+              pull60.staleness.Mean() / push.latency.Mean());
+
+  Json section = Json::MakeObject();
+  section.Set("servers", Json(static_cast<int64_t>(push.servers)));
+  section.Set("configs_per_server",
+              Json(static_cast<int64_t>(stream.interest_list)));
+  section.Set("updates", Json(static_cast<int64_t>(stream.commits)));
+  section.Set("window_s", Json(SimToSeconds(stream.end() - stream.first)));
+  section.Set("rows", std::move(rows));
+  return section;
 }
 
 std::vector<CohortSpec> MillionDeviceFleet() {
@@ -296,14 +413,14 @@ int main(int argc, char** argv) {
   if (smoke) {
     PrintBenchHeader("Figure 14 scaling smoke (10k servers)",
                      "Push leg only; no JSON output");
-    PushResult push = RunPush(kScales[1]);
+    PushResult push = RunPush(kScales[1], kPushStream);
     std::printf("servers=%zu deliveries=%zu p50=%.2fs p999=%.2fs "
                 "events=%llu (%.0f events/s)\n",
                 push.servers, push.latency.size(), push.latency.Percentile(50),
                 push.latency.Percentile(99.9),
                 static_cast<unsigned long long>(push.sim_events),
                 push.events_per_sec);
-    size_t expected = push.servers * static_cast<size_t>(kCommits);
+    size_t expected = push.servers * static_cast<size_t>(kPushStream.commits);
     if (push.latency.size() != expected) {
       std::printf("FAIL: expected %zu deliveries\n", expected);
       return 1;
@@ -314,7 +431,8 @@ int main(int argc, char** argv) {
 
   PrintBenchHeader("Figure 14 at scale — 1k/10k/100k-server propagation",
                    "Calendar-queue scheduler + SoA fleet; push vs pull at "
-                   "each size; 1M-device cohort model");
+                   "each size; §3.4 push-vs-pull table; 1M-device cohort "
+                   "model");
 
   Json scales_json = Json::MakeArray();
   TextTable table({"scale", "servers", "p50 (s)", "p90 (s)", "p99 (s)",
@@ -323,8 +441,8 @@ int main(int argc, char** argv) {
   double events_per_sec_100k = 0;
 
   for (const ScaleShape& shape : kScales) {
-    PushResult push = RunPush(shape);
-    PullResult pull = RunPull(shape);
+    PushResult push = RunPush(shape, kPushStream);
+    PullResult pull = RunPull(shape, kPullStream, kPullInterval);
     if (std::strcmp(shape.label, "10k") == 0) {
       events_per_sec_10k = push.events_per_sec;
     } else if (std::strcmp(shape.label, "100k") == 0) {
@@ -346,8 +464,8 @@ int main(int argc, char** argv) {
     entry.Set("scale", Json(std::string(shape.label)));
     entry.Set("servers", Json(static_cast<int64_t>(push.servers)));
     entry.Set("observers", Json(static_cast<int64_t>(push.observers)));
-    entry.Set("keys", Json(static_cast<int64_t>(kKeys)));
-    entry.Set("commits", Json(static_cast<int64_t>(kCommits)));
+    entry.Set("keys", Json(static_cast<int64_t>(kPushStream.interest_list)));
+    entry.Set("commits", Json(static_cast<int64_t>(kPushStream.commits)));
     Json push_json = Json::MakeObject();
     push_json.Set("propagation_s", HistJson(push.latency));
     push_json.Set("messages", Json(static_cast<int64_t>(push.messages)));
@@ -380,6 +498,8 @@ int main(int argc, char** argv) {
               events_per_sec_10k > 0 ? events_per_sec_10k / events_per_sec_100k
                                      : 0);
 
+  Json push_vs_pull = RunPushVsPull();
+
   // --- Mobile fleet: 1M devices as cohorts ---------------------------------
   CohortModel model(MillionDeviceFleet());
   double bytes_per_sync = MeasureBytesPerSync(model);
@@ -405,6 +525,7 @@ int main(int argc, char** argv) {
                          ? events_per_sec_10k / events_per_sec_100k
                          : 0));
   out.Set("throughput_linearity", std::move(linearity));
+  out.Set("push_vs_pull", std::move(push_vs_pull));
   Json mobile = Json::MakeObject();
   mobile.Set("devices", Json(static_cast<int64_t>(model.total_devices())));
   Json cohorts = Json::MakeArray();

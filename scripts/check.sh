@@ -3,57 +3,43 @@
 # build + tests, a TSan build + concurrency-sensitive tests, and clang-tidy.
 # This is what CI runs; run it before pushing.
 #
-#   scripts/check.sh            # everything (chaos sweep included)
-#   scripts/check.sh --fast     # tier-1 only (skip chaos, sanitizers, tidy)
-#   scripts/check.sh --chaos    # tier-1 + the wide DST chaos sweep only
-#   scripts/check.sh --tsan     # tier-1 + the TSan concurrency battery only
-#   scripts/check.sh --semdiff  # semantic-diff smoke only: the 20-commit
-#                               # scripted sequence, the 500-commit
-#                               # differential battery, and a throughput run
-#   scripts/check.sh --invariants
-#                               # invariant-checker smoke only: the unit +
-#                               # pipeline battery, the 500-commit
-#                               # zero-spurious property battery, the DST
-#                               # inconsistent-commit scenarios, and a
-#                               # throughput run
-#   scripts/check.sh --vm       # bytecode-VM smoke only: the opcode/cache
-#                               # unit battery, the 1k-program differential
-#                               # fuzz battery (plain + ASan/UBSan), and a
-#                               # cache-ablation throughput run
-#   scripts/check.sh --differential
-#                               # every two-implementation differential suite
-#                               # (gatekeeper, semdiff, VM-vs-interpreter,
-#                               # calendar-queue-vs-heap scheduler)
-#   scripts/check.sh --scale    # scale lane only: the 1k/10k-server
-#                               # determinism-at-scale sweeps plus a 10k-server
-#                               # Fig 14 propagation smoke
+#   scripts/check.sh              # everything (chaos sweep included)
+#   scripts/check.sh --fast       # tier-1 only (skip chaos, sanitizers, tidy)
+#   scripts/check.sh --tsan       # tier-1 + the TSan concurrency battery only
+#   scripts/check.sh --label L    # tier-1 build, then one lane:
+#                                 #   ctest -C L -L L
+#
+# Lanes (ctest labels; tests/CMakeLists.txt and bench/CMakeLists.txt say
+# which suites and bench smokes carry each):
+#   chaos         the wide 40-seed DST fault-injection sweep
+#   differential  every two-implementation differential suite
+#   scale         1k/10k-server determinism sweeps, scheduler battery,
+#                 10k-server Fig 14 smoke
+#   semdiff       semantic-diff batteries + throughput smoke
+#   invariants    invariant-checker batteries, DST inconsistent-commit
+#                 scenarios + throughput smoke
+#   vm            bytecode-VM batteries + cache-ablation smoke
+#
+# Any other argument is a usage error (exit 2).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-FAST=0
-CHAOS_ONLY=0
-TSAN_ONLY=0
-SEMDIFF_ONLY=0
-INVARIANTS_ONLY=0
-VM_ONLY=0
-DIFFERENTIAL_ONLY=0
-SCALE_ONLY=0
-if [[ "${1:-}" == "--fast" ]]; then
-  FAST=1
-elif [[ "${1:-}" == "--chaos" ]]; then
-  CHAOS_ONLY=1
-elif [[ "${1:-}" == "--tsan" ]]; then
-  TSAN_ONLY=1
-elif [[ "${1:-}" == "--semdiff" ]]; then
-  SEMDIFF_ONLY=1
-elif [[ "${1:-}" == "--invariants" ]]; then
-  INVARIANTS_ONLY=1
-elif [[ "${1:-}" == "--vm" ]]; then
-  VM_ONLY=1
-elif [[ "${1:-}" == "--differential" ]]; then
-  DIFFERENTIAL_ONLY=1
-elif [[ "${1:-}" == "--scale" ]]; then
-  SCALE_ONLY=1
+usage() {
+  echo "usage: scripts/check.sh [--fast | --tsan | --label LABEL]" >&2
+  exit 2
+}
+
+MODE=full
+LABEL=""
+case "$#:${1:-}" in
+  0:) ;;
+  1:--fast) MODE=fast ;;
+  1:--tsan) MODE=tsan ;;
+  2:--label) MODE=label; LABEL="$2" ;;
+  *) usage ;;
+esac
+if [[ "$MODE" == "label" && -z "$LABEL" ]]; then
+  usage
 fi
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
@@ -79,61 +65,11 @@ echo "==> tier-1: configure + build"
 cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 
-if [[ "$SEMDIFF_ONLY" == "1" ]]; then
-  echo "==> semdiff: scripted 20-commit sequence + 500-commit differential battery"
-  ctest --test-dir build --output-on-failure -R \
-    '^(semdiff_test|semdiff_differential_test)$'
-  echo "==> semdiff: throughput smoke (writes BENCH_semdiff.json)"
-  (cd build/bench && ./semdiff_throughput >/dev/null)
-  echo "==> done (semdiff mode: full tier-1, chaos, sanitizers and clang-tidy skipped)"
-  exit 0
-fi
-
-if [[ "$INVARIANTS_ONLY" == "1" ]]; then
-  echo "==> invariants: unit + pipeline battery, zero-spurious property battery"
-  ctest --test-dir build --output-on-failure -R \
-    '^(invariant_test|invariant_property_test)$'
-  echo "==> invariants: DST inconsistent-commit gate + bypass scenarios"
-  (cd build/tests && ./dst_test --gtest_filter='*InconsistentCommit*')
-  echo "==> invariants: throughput smoke (writes BENCH_invariants.json)"
-  (cd build/bench && ./invariant_throughput >/dev/null)
-  echo "==> done (invariants mode: full tier-1, chaos, sanitizers and clang-tidy skipped)"
-  exit 0
-fi
-
-if [[ "$VM_ONLY" == "1" ]]; then
-  echo "==> vm: opcode/cache unit battery + 1k-program differential fuzz"
-  ctest --test-dir build --output-on-failure -R \
-    '^(vm_test|vm_differential_test)$'
-  echo "==> vm: sanitized build (address;undefined)"
-  cmake -B build-asan -S . -DCONFIGERATOR_SANITIZE="address;undefined" >/dev/null
-  cmake --build build-asan -j "$JOBS" --target vm_test vm_differential_test
-  echo "==> vm: differential fuzz + bit-flip mutation corpus under ASan/UBSan"
-  ctest --test-dir build-asan --output-on-failure -R \
-    '^(vm_test|vm_differential_test)$'
-  echo "==> vm: cache-ablation throughput (writes BENCH_csl_vm.json)"
-  (cd build/bench && ./csl_vm)
-  echo "==> done (vm mode: full tier-1, chaos, other sanitizers and clang-tidy skipped)"
-  exit 0
-fi
-
-if [[ "$DIFFERENTIAL_ONLY" == "1" ]]; then
-  echo "==> differential: gatekeeper + semdiff + VM + scheduler batteries"
-  ctest --test-dir build --output-on-failure -L differential
-  echo "==> done (differential mode: full tier-1, chaos, sanitizers and clang-tidy skipped)"
-  exit 0
-fi
-
-if [[ "$SCALE_ONLY" == "1" ]]; then
-  echo "==> scale: tier-1 smoke (1k replay + stride equivalence)"
-  ctest --test-dir build --output-on-failure -R '^scale_test$'
-  echo "==> scale: 10-seed determinism sweeps at 1k and 10k servers"
-  ctest --test-dir build -C scale -L scale --output-on-failure
-  echo "==> scale: scheduler differential battery"
-  ctest --test-dir build --output-on-failure -R '^sim_differential_test$'
-  echo "==> scale: Fig 14 propagation smoke at 10k servers"
-  (cd build/bench && ./fig14_scale --smoke)
-  echo "==> done (scale mode: full tier-1, chaos, sanitizers and clang-tidy skipped)"
+if [[ "$MODE" == "label" ]]; then
+  echo "==> lane: ctest -C $LABEL -L $LABEL"
+  ctest --test-dir build -C "$LABEL" -L "$LABEL" --no-tests=error \
+    --output-on-failure
+  echo "==> done (lane $LABEL: full tier-1, sanitizers and clang-tidy skipped)"
   exit 0
 fi
 
@@ -146,24 +82,19 @@ echo "==> bench smoke: propagation trace (span-derived per-hop latencies)"
 echo "==> bench smoke: fig15 2-thread shared-snapshot churn"
 (cd build/bench && ./fig15_gatekeeper_throughput --mt_smoke)
 
-if [[ "$TSAN_ONLY" == "1" ]]; then
+if [[ "$MODE" == "tsan" ]]; then
   run_tsan
   echo "==> done (tsan mode: chaos, asan and clang-tidy skipped)"
   exit 0
 fi
 
-if [[ "$FAST" == "1" ]]; then
+if [[ "$MODE" == "fast" ]]; then
   echo "==> done (fast mode: chaos, sanitizers and clang-tidy skipped)"
   exit 0
 fi
 
 echo "==> chaos: DST wide-seed fault-injection sweep"
 ctest --test-dir build -C chaos -L chaos --output-on-failure
-
-if [[ "$CHAOS_ONLY" == "1" ]]; then
-  echo "==> done (chaos mode: sanitizers and clang-tidy skipped)"
-  exit 0
-fi
 
 echo "==> sanitized: configure + build (address;undefined)"
 cmake -B build-asan -S . -DCONFIGERATOR_SANITIZE="address;undefined" >/dev/null

@@ -491,8 +491,22 @@ void Harness::FinalHeal() {
   }
 }
 
-RunResult Harness::Run(const FaultPlan& plan) {
+Result<RunResult> Harness::Run(const FaultPlan& plan) {
   assert(!ran_ && "Harness is single-shot; build a fresh one per run");
+  // The network's per-server tables are sized by the topology; a server
+  // outside it has no slot, so the whole plan is refused up front.
+  for (const FaultEvent& event : plan.events) {
+    for (const auto* group : {&event.group_a, &event.group_b}) {
+      for (const ServerId& id : *group) {
+        if (!topology_.Contains(id)) {
+          return InvalidArgumentError("fault plan names server " +
+                                      id.ToString() +
+                                      " outside the scenario topology: " +
+                                      event.ToLine());
+        }
+      }
+    }
+  }
   ran_ = true;
 
   ScheduleWorkload();

@@ -131,8 +131,10 @@ class Harness {
   FaultPlanShape shape() const;
 
   // Executes the scenario under `plan`. Single-shot: build a fresh Harness
-  // per run (the shrinker does exactly that).
-  RunResult Run(const FaultPlan& plan);
+  // per run (the shrinker does exactly that). A plan that names a server
+  // outside the scenario's topology is rejected with InvalidArgument before
+  // anything runs.
+  Result<RunResult> Run(const FaultPlan& plan);
 
   // --- Replay ---------------------------------------------------------------
 
@@ -141,8 +143,10 @@ class Harness {
     FaultPlan plan;
   };
   static Result<ReplaySpec> ParseTrace(const std::string& trace_text);
-  // ParseTrace + fresh Harness + Run. Determinism guarantee: replaying a
-  // failing run's trace reproduces the same violation at the same sim time.
+  // ParseTrace + fresh Harness + Run (so a trace whose plan names a server
+  // outside its scenario is rejected the same way). Determinism guarantee:
+  // replaying a failing run's trace reproduces the same violation at the
+  // same sim time.
   static Result<RunResult> Replay(const std::string& trace_text);
 
   // --- Test hooks -----------------------------------------------------------

@@ -13,10 +13,11 @@ namespace {
 bool Reproduces(const ScenarioOptions& scenario, const FaultPlan& candidate,
                 const std::string& invariant, RunResult* out) {
   Harness harness(scenario);
-  RunResult result = harness.Run(candidate);
-  bool reproduced = result.violated && result.violation.invariant == invariant;
+  Result<RunResult> result = harness.Run(candidate);
+  bool reproduced = result.ok() && result->violated &&
+                    result->violation.invariant == invariant;
   if (reproduced && out != nullptr) {
-    *out = std::move(result);
+    *out = std::move(result).value();
   }
   return reproduced;
 }
@@ -53,7 +54,7 @@ ShrinkResult ShrinkFaultPlan(const ScenarioOptions& scenario,
   if (result.run.trace.empty()) {
     ++result.runs;
     Harness harness(scenario);
-    result.run = harness.Run(result.plan);
+    result.run = harness.Run(result.plan).value_or(RunResult{});
   }
   result.final_events = result.plan.events.size();
   return result;

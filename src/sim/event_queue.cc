@@ -9,7 +9,7 @@ namespace {
 
 // "a pops later than b" — used with the std::*_heap algorithms, which build a
 // max-heap with respect to the comparator, so the top is the (time, seq)
-// minimum. Identical to the original Simulator comparator.
+// minimum.
 struct Later {
   bool operator()(const SimEvent& a, const SimEvent& b) const {
     if (a.time != b.time) {
@@ -33,18 +33,6 @@ SimTime FloorAlign(SimTime t, SimTime width) {
 }
 
 }  // namespace
-
-void HeapEventQueue::Push(SimEvent event) {
-  heap_.push_back(std::move(event));
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
-}
-
-SimEvent HeapEventQueue::PopMin() {
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  SimEvent event = std::move(heap_.back());
-  heap_.pop_back();
-  return event;
-}
 
 CalendarEventQueue::CalendarEventQueue() { buckets_.assign(kMinBuckets, {}); }
 

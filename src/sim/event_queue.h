@@ -1,16 +1,15 @@
-// Pending-event queues for the discrete-event simulator.
+// Pending-event queue for the discrete-event simulator.
 //
-// The ordering contract both implementations honor exactly: events pop in
-// ascending (time, seq) order — seq is the scheduling sequence number, so
-// same-instant events run FIFO in the order they were scheduled.
+// The ordering contract: events pop in ascending (time, seq) order — seq is
+// the scheduling sequence number, so same-instant events run FIFO in the
+// order they were scheduled.
 //
-// `HeapEventQueue` is the original binary heap, retained as the reference
-// implementation for the differential scheduler battery
-// (tests/sim_differential_test.cc). `CalendarEventQueue` is the default at
-// scale: a bucketed calendar queue (R. Brown, CACM '88) whose push/pop are
-// amortized O(1) when event times are spread across the horizon, instead of
-// the heap's O(log n) — with millions of in-flight events at 100k servers
-// that difference dominates the scheduler.
+// `CalendarEventQueue` is a bucketed calendar queue (R. Brown, CACM '88)
+// whose push/pop are amortized O(1) when event times are spread across the
+// horizon, instead of a binary heap's O(log n) — with millions of in-flight
+// events at 100k servers that difference dominates the scheduler. A plain
+// binary-heap simulator in tests/reference/ is the executable specification
+// of the contract (tests/sim_differential_test.cc).
 
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
@@ -28,36 +27,6 @@ struct SimEvent {
   SimTime time = 0;
   uint64_t seq = 0;  // Tie-break: FIFO among same-time events.
   std::function<void()> fn;
-};
-
-class EventQueue {
- public:
-  virtual ~EventQueue() = default;
-
-  virtual void Push(SimEvent event) = 0;
-  // Pops the globally-minimal event by (time, seq). Precondition: !empty().
-  virtual SimEvent PopMin() = 0;
-  // Timestamp of the next event to pop. Precondition: !empty(). Non-const:
-  // the calendar queue may advance its cursor to locate the minimum.
-  virtual SimTime MinTime() = 0;
-  virtual size_t size() const = 0;
-  bool empty() const { return size() == 0; }
-};
-
-// The original std::priority_queue scheduler, kept as the differential
-// reference. Behavior is the specification; the calendar queue must match it
-// event-for-event.
-class HeapEventQueue : public EventQueue {
- public:
-  void Push(SimEvent event) override;
-  SimEvent PopMin() override;
-  SimTime MinTime() override { return heap_.front().time; }
-  size_t size() const override { return heap_.size(); }
-
- private:
-  // Binary min-heap over (time, seq), stored flat and driven with the
-  // std::*_heap algorithms so PopMin can move the payload out.
-  std::vector<SimEvent> heap_;
 };
 
 // Bucketed calendar queue with three tiers:
@@ -78,14 +47,18 @@ class HeapEventQueue : public EventQueue {
 // bucket count tracks the queue size and width_ tracks the mean inter-event
 // gap. Degenerate schedules (every event at one instant, or one far-future
 // straggler) collapse to plain heap behavior — slower, never incorrect.
-class CalendarEventQueue : public EventQueue {
+class CalendarEventQueue {
  public:
   CalendarEventQueue();
 
-  void Push(SimEvent event) override;
-  SimEvent PopMin() override;
-  SimTime MinTime() override;
-  size_t size() const override { return size_; }
+  void Push(SimEvent event);
+  // Pops the globally-minimal event by (time, seq). Precondition: !empty().
+  SimEvent PopMin();
+  // Timestamp of the next event to pop. Precondition: !empty(). Non-const:
+  // the queue may advance its cursor to locate the minimum.
+  SimTime MinTime();
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
 
   // Introspection for tests and benches.
   size_t bucket_count() const { return buckets_.size(); }

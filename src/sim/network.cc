@@ -4,44 +4,27 @@
 
 namespace configerator {
 
-void FailureInjector::AttachTopology(const Topology* topology) {
-  topology_ = topology;
-  down_.assign(
-      topology == nullptr ? 0 : static_cast<size_t>(topology->total_servers()),
-      0);
-}
-
 void FailureInjector::Crash(const ServerId& id) {
-  if (topology_ != nullptr && topology_->Contains(id)) {
-    uint8_t& bit = down_[static_cast<size_t>(topology_->FlatIndex(id))];
-    if (bit == 0) {
-      bit = 1;
-      ++down_count_;
-    }
-    return;
-  }
-  if (other_down_.insert(id).second) {
+  uint8_t& bit = down_[Index(id)];
+  if (bit == 0) {
+    bit = 1;
     ++down_count_;
   }
 }
 
 void FailureInjector::Recover(const ServerId& id) {
-  if (topology_ != nullptr && topology_->Contains(id)) {
-    uint8_t& bit = down_[static_cast<size_t>(topology_->FlatIndex(id))];
-    if (bit != 0) {
-      bit = 0;
-      --down_count_;
-    }
-    return;
-  }
-  if (other_down_.erase(id) > 0) {
+  uint8_t& bit = down_[Index(id)];
+  if (bit != 0) {
+    bit = 0;
     --down_count_;
   }
 }
 
 Network::Network(Simulator* sim, Topology topology, uint64_t seed)
-    : sim_(sim), topology_(std::move(topology)), rng_(seed) {
-  failures_.AttachTopology(&topology_);
+    : sim_(sim),
+      topology_(std::move(topology)),
+      failures_(topology_),
+      rng_(seed) {
   // Typical traffic touches a few links per server (proxy <-> observer, both
   // directions); reserving that up front spares the link and FIFO-channel
   // tables ~20 growth rehashes over a 100k-server run. Capped so a huge

@@ -30,11 +30,11 @@
 #ifndef SRC_SIM_NETWORK_H_
 #define SRC_SIM_NETWORK_H_
 
+#include <cassert>
 #include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -44,30 +44,27 @@
 
 namespace configerator {
 
-// Injects crashes/recoveries and answers liveness queries. With a topology
-// attached (Network does this), liveness is one dense bit test per query;
-// ids outside the topology fall back to a small set so the injector stays
-// usable standalone.
+// Injects crashes/recoveries and answers liveness queries: one byte per
+// server of the topology, so a query is a single dense lookup.
+// Precondition (asserted in Network::Flat): every id is inside the topology.
 class FailureInjector {
  public:
-  FailureInjector() = default;
-
-  void AttachTopology(const Topology* topology);
+  explicit FailureInjector(const Topology& topology)
+      : topology_(&topology),
+        down_(static_cast<size_t>(topology.total_servers()), 0) {}
 
   void Crash(const ServerId& id);
   void Recover(const ServerId& id);
-  bool IsDown(const ServerId& id) const {
-    if (topology_ != nullptr && topology_->Contains(id)) {
-      return down_[static_cast<size_t>(topology_->FlatIndex(id))] != 0;
-    }
-    return other_down_.count(id) > 0;
-  }
+  bool IsDown(const ServerId& id) const { return down_[Index(id)] != 0; }
   size_t down_count() const { return down_count_; }
 
  private:
-  const Topology* topology_ = nullptr;
-  std::vector<uint8_t> down_;  // Dense, by flat index; sized on attach.
-  std::unordered_set<ServerId> other_down_;  // Ids outside the topology.
+  size_t Index(const ServerId& id) const {
+    return static_cast<size_t>(topology_->FlatIndex(id));
+  }
+
+  const Topology* topology_;
+  std::vector<uint8_t> down_;  // By flat index.
   size_t down_count_ = 0;
 };
 
@@ -212,7 +209,11 @@ class Network {
     bool bidirectional = false;
   };
 
+  // Dense handle of a server. Precondition: `id` is inside the topology —
+  // every per-server table (liveness bytes, partition bitsets, packed link
+  // keys) is sized by it, so an outside id would index past them.
   uint32_t Flat(const ServerId& id) const {
+    assert(topology_.Contains(id) && "server id outside the topology");
     return static_cast<uint32_t>(topology_.FlatIndex(id));
   }
   // Directed link key: two 32-bit dense server handles packed into one word.

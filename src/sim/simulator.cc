@@ -4,14 +4,6 @@
 
 namespace configerator {
 
-Simulator::Simulator(QueueKind kind) {
-  if (kind == QueueKind::kHeap) {
-    queue_ = std::make_unique<HeapEventQueue>();
-  } else {
-    queue_ = std::make_unique<CalendarEventQueue>();
-  }
-}
-
 void Simulator::Schedule(SimTime delay, std::function<void()> fn) {
   if (delay < 0) {
     delay = 0;
@@ -23,14 +15,14 @@ void Simulator::ScheduleAt(SimTime when, std::function<void()> fn) {
   if (when < now_) {
     when = now_;
   }
-  queue_->Push(SimEvent{when, next_seq_++, std::move(fn)});
+  queue_.Push(SimEvent{when, next_seq_++, std::move(fn)});
 }
 
 bool Simulator::Step() {
-  if (queue_->empty()) {
+  if (queue_.empty()) {
     return false;
   }
-  SimEvent event = queue_->PopMin();
+  SimEvent event = queue_.PopMin();
   now_ = event.time;
   ++processed_;
   event.fn();
@@ -38,7 +30,7 @@ bool Simulator::Step() {
 }
 
 void Simulator::RunUntil(SimTime deadline) {
-  while (!queue_->empty() && queue_->MinTime() <= deadline) {
+  while (!queue_.empty() && queue_.MinTime() <= deadline) {
     Step();
   }
   if (now_ < deadline) {

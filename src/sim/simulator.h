@@ -1,14 +1,13 @@
-// Discrete-event simulator. The distribution experiments (Figs 14, the
-// PackageVessel and push-vs-pull benches) run the real protocol code over
-// this clock instead of wall time, so a fleet of hundreds of thousands of
-// servers across continents fits on a laptop.
+// Discrete-event simulator. The distribution experiments (Fig 14 with its
+// push-vs-pull ablation, the PackageVessel bench) run the real protocol code
+// over this clock instead of wall time, so a fleet of hundreds of thousands
+// of servers across continents fits on a laptop.
 
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 
 #include "src/sim/event_queue.h"
 #include "src/sim/time.h"
@@ -17,13 +16,6 @@ namespace configerator {
 
 class Simulator {
  public:
-  // kCalendar is the default scheduler (amortized O(1) push/pop). kHeap is
-  // the original binary heap, retained as the reference for the differential
-  // battery; both honor the identical (time, seq) FIFO ordering contract.
-  enum class QueueKind { kCalendar, kHeap };
-
-  explicit Simulator(QueueKind kind = QueueKind::kCalendar);
-
   SimTime now() const { return now_; }
 
   // Schedules `fn` to run `delay` from now (clamped to >= 0). Events at the
@@ -40,14 +32,14 @@ class Simulator {
   // Runs until no events remain (or `max_events` processed).
   void RunUntilIdle(uint64_t max_events = UINT64_MAX);
 
-  size_t pending_events() const { return queue_->size(); }
+  size_t pending_events() const { return queue_.size(); }
   uint64_t processed_events() const { return processed_; }
 
  private:
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t processed_ = 0;
-  std::unique_ptr<EventQueue> queue_;
+  CalendarEventQueue queue_;
 };
 
 }  // namespace configerator

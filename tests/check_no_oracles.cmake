@@ -1,9 +1,13 @@
 # Fails if a production archive defines or references a test oracle: the CSL
-# reference interpreter (configerator::Interp) or the removed single-threaded
-# Gatekeeper evaluator (configerator::GatekeeperProject).
+# reference interpreter (configerator::Interp), the binary-heap reference
+# simulator (configerator::HeapSimulator), or an implementation this tree no
+# longer has beside its production one — the single-threaded Gatekeeper
+# evaluator (configerator::GatekeeperProject) and the in-simulator heap
+# scheduler (configerator::HeapEventQueue).
 #
 #   cmake -DNM=<nm> -P check_no_oracles.cmake <archive>...
-set(oracles "configerator::Interp::" "configerator::GatekeeperProject")
+set(oracles "configerator::Interp::" "configerator::GatekeeperProject"
+            "configerator::HeapSimulator" "configerator::HeapEventQueue")
 math(EXPR last "${CMAKE_ARGC} - 1")
 set(archives "")
 set(after_script FALSE)

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/dst/fault_plan.h"
@@ -286,6 +287,13 @@ TEST(FaultPlanTest, RandomPlansAreSeedDeterministic) {
 
 // ---- Harness: clean chaos runs ----------------------------------------------
 
+// Runs a plan the scenario must accept; a rejected plan fails the test.
+RunResult RunAccepted(Harness& harness, const FaultPlan& plan) {
+  Result<RunResult> result = harness.Run(plan);
+  EXPECT_TRUE(result.ok()) << result.status();
+  return result.ok() ? std::move(result).value() : RunResult{};
+}
+
 ScenarioOptions SmokeScenario(uint64_t seed) {
   ScenarioOptions options;
   options.seed = seed;
@@ -302,7 +310,7 @@ TEST_P(DstSmokeTest, RandomChaosRunsClean) {
   ScenarioOptions options = SmokeScenario(GetParam());
   Harness harness(options);
   FaultPlan plan = FaultPlan::Random(GetParam(), harness.shape());
-  RunResult result = harness.Run(plan);
+  RunResult result = RunAccepted(harness, plan);
   EXPECT_FALSE(result.violated)
       << result.violation.invariant << ": " << result.violation.message;
   // The run must have done real work under real faults.
@@ -322,7 +330,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DstSmokeTest,
                          ::testing::Values(1, 2, 3, 5, 7));
 
 // The wide sweep: excluded from tier-1 (ctest configuration + label "chaos");
-// scripts/check.sh --chaos runs it.
+// scripts/check.sh --label chaos runs it.
 class DstChaosSweepTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(DstChaosSweepTest, RandomChaosRunsClean) {
@@ -332,7 +340,7 @@ TEST_P(DstChaosSweepTest, RandomChaosRunsClean) {
   plan_options.incidents = 10;
   FaultPlan plan = FaultPlan::Random(GetParam() * 7 + 3, harness.shape(),
                                      plan_options);
-  RunResult result = harness.Run(plan);
+  RunResult result = RunAccepted(harness, plan);
   EXPECT_FALSE(result.violated)
       << result.violation.invariant << ": " << result.violation.message
       << "\n--- replayable trace ---\n"
@@ -349,7 +357,7 @@ TEST(DstReplayTest, TraceReplaysBitForBit) {
   ScenarioOptions options = SmokeScenario(11);
   Harness harness(options);
   FaultPlan plan = FaultPlan::Random(11, harness.shape());
-  RunResult first = harness.Run(plan);
+  RunResult first = RunAccepted(harness, plan);
 
   auto replayed = Harness::Replay(first.trace);
   ASSERT_TRUE(replayed.ok()) << replayed.status();
@@ -362,6 +370,37 @@ TEST(DstReplayTest, TraceReplaysBitForBit) {
   // The replay's own trace is identical — the fixed point that makes traces
   // shareable bug reports.
   EXPECT_EQ(replayed->trace, first.trace);
+}
+
+// A fault plan is checked against the scenario's topology before anything
+// runs: the network sizes its liveness table, partition bitsets and link keys
+// by the topology, so a server outside it has no slot to write.
+TEST(DstReplayTest, RejectsServerOutsideTopology) {
+  ScenarioOptions options = SmokeScenario(11);
+  for (const char* event : {"at 1000000 partition 9.9.9 | 0.0.0",
+                            "at 1000000 crash 9.9.9"}) {
+    SCOPED_TRACE(event);
+    std::string trace = "scenario " + options.ToLine() + "\nplan-begin\n" +
+                        event + "\nplan-end\n";
+    auto replayed = Harness::Replay(trace);
+    ASSERT_FALSE(replayed.ok()) << "replayed a plan outside the topology";
+    EXPECT_EQ(replayed.status().code(), StatusCode::kInvalidArgument)
+        << replayed.status();
+
+    // Run refuses the whole plan: a valid crash scheduled first does not
+    // run either.
+    auto plan =
+        FaultPlan::Parse("at 0 crash 0.0.0\n" + std::string(event) + "\n");
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    Harness harness(options);
+    const uint64_t sent_before = harness.net().stats().messages_sent;
+    Result<RunResult> result = harness.Run(*plan);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << result.status();
+    EXPECT_EQ(harness.net().failures().down_count(), 0u);
+    EXPECT_EQ(harness.net().stats().messages_sent, sent_before);
+  }
 }
 
 // ---- The seeded bug: torn config served after a proxy crash ------------------
@@ -418,7 +457,7 @@ TEST(DstSeededBugTest, TornConfigIsCaughtShrunkAndReplayed) {
 
   // 1. The invariant catches the bug.
   Harness harness(options);
-  RunResult failing = harness.Run(plan);
+  RunResult failing = RunAccepted(harness, plan);
   ASSERT_TRUE(failing.violated) << "seeded bug was not caught";
   EXPECT_EQ(failing.violation.invariant, "no-torn-config")
       << failing.violation.message;
@@ -473,7 +512,8 @@ TEST(DstSeededBugTest, InconsistentCommitIsBlockedByTheGate) {
   // pair and the run converges clean.
   ScenarioOptions options = SmokeScenario(31);
   Harness harness(options);
-  RunResult result = harness.Run(InconsistentCommitPlan(options, "gated"));
+  RunResult result =
+      RunAccepted(harness, InconsistentCommitPlan(options, "gated"));
   EXPECT_FALSE(result.violated)
       << result.violation.invariant << ": " << result.violation.message;
   EXPECT_NE(result.trace.find("blocked by invariant gate"), std::string::npos)
@@ -502,7 +542,7 @@ TEST(DstSeededBugTest, InconsistentCommitBypassIsCaughtShrunkAndReplayed) {
 
   // 1. The continuous cross-config check catches the served pair.
   Harness harness(options);
-  RunResult failing = harness.Run(plan);
+  RunResult failing = RunAccepted(harness, plan);
   ASSERT_TRUE(failing.violated) << "bypassed pair was never caught";
   EXPECT_EQ(failing.violation.invariant, "cross-config-invariant")
       << failing.violation.message;
@@ -534,7 +574,7 @@ TEST(DstFreshnessTest, SloHoldsOnCleanRun) {
   ScenarioOptions options = SmokeScenario(13);
   options.freshness_slo = 30 * kSimSecond;
   Harness harness(options);
-  RunResult result = harness.Run(FaultPlan{});
+  RunResult result = RunAccepted(harness, FaultPlan{});
   EXPECT_FALSE(result.violated)
       << result.violation.invariant << ": " << result.violation.message;
   // The invariant actually had data to judge: every proxy recorded
@@ -588,7 +628,7 @@ TEST(DstFreshnessTest, DelayedOneWayPartitionViolatesSloAndShrinksMinimal) {
   // 1. The SLO invariant fires, and the violation carries the span tree of
   // the slowest delivery's commit.
   Harness harness(options);
-  RunResult failing = harness.Run(plan);
+  RunResult failing = RunAccepted(harness, plan);
   {
     Histogram fleet =
         harness.obs().metrics.MergedHistogram("proxy_propagation_seconds");
@@ -661,7 +701,7 @@ TEST(DstTraceTest, CommitSpanTreeIsCompleteUnderFaults) {
   add(16 * kSimSecond, FaultOp::kRestartProxy).index = 4;
   plan.SortByTime();
 
-  RunResult result = harness.Run(plan);
+  RunResult result = RunAccepted(harness, plan);
   ASSERT_FALSE(result.violated)
       << result.violation.invariant << ": " << result.violation.message;
   ASSERT_GT(result.committed_zxid, 0);
@@ -733,7 +773,7 @@ TEST(DstVesselChurnTest, SwarmSurvivesPeerChurnAndPartitions) {
   add(20 * kSimSecond, FaultOp::kHealPartitions);
   plan.SortByTime();
 
-  RunResult result = harness.Run(plan);
+  RunResult result = RunAccepted(harness, plan);
   EXPECT_FALSE(result.violated)
       << result.violation.invariant << ": " << result.violation.message;
   EXPECT_EQ(result.vessel_completed, 8u);
@@ -835,7 +875,7 @@ TEST(DstGatekeeperRaceTest, UpdateRacesAntiEntropyReplayAndStaysConsistent) {
   ScenarioOptions options = SmokeScenario(23);
   Harness harness(options);
   FaultPlan plan = GatekeeperRacePlan(harness.shape());
-  RunResult result = harness.Run(plan);
+  RunResult result = RunAccepted(harness, plan);
   EXPECT_FALSE(result.violated)
       << result.violation.invariant << ": " << result.violation.message
       << "\n--- replayable trace ---\n"

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "src/dst/fault_plan.h"
 #include "src/dst/harness.h"
@@ -50,7 +51,9 @@ RunResult RunOnce(const ScenarioOptions& options) {
   Harness harness(options);
   FaultPlan plan =
       FaultPlan::Random(options.seed * 31 + 7, harness.shape());
-  return harness.Run(plan);
+  Result<RunResult> result = harness.Run(plan);
+  EXPECT_TRUE(result.ok()) << result.status();
+  return result.ok() ? std::move(result).value() : RunResult{};
 }
 
 // Runs the scenario, replays its trace, and asserts the replay is

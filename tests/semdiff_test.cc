@@ -2,7 +2,7 @@
 // (no-op / value-delta / control-shift / type-change), the provenance graph
 // (nodes, reverse edges, line attribution), the graph gating rules
 // G007–G010, diff-hunk -> symbol attribution, byte-stable determinism, a
-// 20-commit scripted sequence (what scripts/check.sh --semdiff drives), and
+// 20-commit scripted sequence (ctest label "semdiff" drives it), and
 // the acceptance scenario: a latent control shift in an UNTOUCHED dependent
 // is classified (not no-op) and the landing is blocked by a G-rule error.
 
@@ -557,12 +557,12 @@ TEST(SemdiffDeterminismTest, MessageOrdersBeforeRuleIdOnColumnTie) {
   EXPECT_EQ(diags[1].rule_id, "G007");
 }
 
-// ---- Scripted 20-commit sequence (check.sh --semdiff drives this) -----------
+// ---- Scripted 20-commit sequence (the "semdiff" label drives this) ----------
 
 TEST(SemdiffScriptedSequenceTest, TwentyCommitClassifications) {
   // A scripted history over one small repo: each step edits the tree and
   // states the expected classification of its probe symbol. This is the
-  // smoke sequence scripts/check.sh --semdiff asserts on.
+  // smoke sequence the "semdiff" lane asserts on.
   struct Step {
     const char* lib;            // Content of lib.cinc after the commit.
     ImpactKind expected;        // Classification of lib.cinc:TUNABLE.

@@ -1,9 +1,9 @@
-// Differential battery for the calendar-queue scheduler: the retained
-// heap-based Simulator (QueueKind::kHeap) is the executable specification of
-// the (time, seq) FIFO ordering contract; the calendar queue
-// (QueueKind::kCalendar, the default) must execute every seeded random
-// schedule identically — same event order, same clock at every event, same
-// pending/processed counts at every RunUntil / RunUntilIdle boundary.
+// Differential battery for the calendar-queue scheduler: the binary-heap
+// HeapSimulator (tests/reference/) is the executable specification of the
+// (time, seq) FIFO ordering contract; the production Simulator must execute
+// every seeded random schedule identically — same event order, same clock at
+// every event, same pending/processed counts at every RunUntil /
+// RunUntilIdle boundary.
 //
 // Each schedule is a deterministic function of its seed alone: every event's
 // behavior (how many children it schedules, with what delays) derives from
@@ -25,6 +25,7 @@
 #include "src/sim/simulator.h"
 #include "src/util/rng.h"
 #include "src/util/strings.h"
+#include "tests/reference/heap_simulator.h"
 
 namespace configerator {
 namespace {
@@ -36,12 +37,13 @@ uint64_t Mix(uint64_t seed, uint64_t event_id, uint64_t salt) {
   return SplitMix64(state);
 }
 
-// Drives one Simulator through the seeded schedule, recording an execution
-// log. The log captures everything the ordering contract promises.
+// Drives one simulator (the production Simulator or the HeapSimulator
+// oracle) through the seeded schedule, recording an execution log. The log
+// captures everything the ordering contract promises.
+template <typename Sim>
 class ScheduleDriver {
  public:
-  ScheduleDriver(Simulator::QueueKind kind, uint64_t seed)
-      : sim_(kind), seed_(seed) {}
+  explicit ScheduleDriver(uint64_t seed) : seed_(seed) {}
 
   std::vector<std::string> Run() {
     const int roots = 3 + static_cast<int>(Mix(seed_, 0, 0) % 6);
@@ -123,7 +125,7 @@ class ScheduleDriver {
 
   static constexpr int kMaxEvents = 220;
 
-  Simulator sim_;
+  Sim sim_;
   uint64_t seed_;
   int next_id_ = 0;
   std::vector<std::string> log_;
@@ -132,9 +134,9 @@ class ScheduleDriver {
 TEST(SchedulerDifferentialTest, ThousandSeededSchedulesIdentical) {
   for (uint64_t seed = 1; seed <= 1000; ++seed) {
     std::vector<std::string> heap_log =
-        ScheduleDriver(Simulator::QueueKind::kHeap, seed).Run();
+        ScheduleDriver<HeapSimulator>(seed).Run();
     std::vector<std::string> calendar_log =
-        ScheduleDriver(Simulator::QueueKind::kCalendar, seed).Run();
+        ScheduleDriver<Simulator>(seed).Run();
     ASSERT_EQ(heap_log.size(), calendar_log.size()) << "seed " << seed;
     for (size_t i = 0; i < heap_log.size(); ++i) {
       ASSERT_EQ(heap_log[i], calendar_log[i])
@@ -145,38 +147,44 @@ TEST(SchedulerDifferentialTest, ThousandSeededSchedulesIdentical) {
 
 // A same-instant burst wide enough to stress one bucket's heap: FIFO order
 // must survive both schedulers.
-TEST(SchedulerDifferentialTest, WideSameInstantBurstStaysFifo) {
-  for (Simulator::QueueKind kind :
-       {Simulator::QueueKind::kHeap, Simulator::QueueKind::kCalendar}) {
-    Simulator sim(kind);
-    std::vector<int> order;
-    for (int i = 0; i < 5000; ++i) {
-      sim.Schedule(kSimSecond, [&order, i] { order.push_back(i); });
-    }
-    sim.RunUntilIdle();
-    ASSERT_EQ(order.size(), 5000u);
-    for (int i = 0; i < 5000; ++i) {
-      ASSERT_EQ(order[i], i) << "queue kind broke FIFO at " << i;
-    }
+template <typename Sim>
+void ExpectWideBurstFifo() {
+  Sim sim;
+  std::vector<int> order;
+  for (int i = 0; i < 5000; ++i) {
+    sim.Schedule(kSimSecond, [&order, i] { order.push_back(i); });
   }
+  sim.RunUntilIdle();
+  ASSERT_EQ(order.size(), 5000u);
+  for (int i = 0; i < 5000; ++i) {
+    ASSERT_EQ(order[i], i) << "scheduler broke FIFO at " << i;
+  }
+}
+
+TEST(SchedulerDifferentialTest, WideSameInstantBurstStaysFifo) {
+  ExpectWideBurstFifo<HeapSimulator>();
+  ExpectWideBurstFifo<Simulator>();
 }
 
 // RunUntil peeks ahead of the clock; a later Schedule at a nearer time must
 // still run first (the calendar queue's rewind/near-heap path).
+template <typename Sim>
+void ExpectLateArrivalRunsFirst() {
+  Sim sim;
+  std::vector<int> order;
+  sim.Schedule(300 * kSimDay, [&order] { order.push_back(99); });
+  sim.RunUntil(kSimSecond);  // Advances cursor toward the far event.
+  EXPECT_EQ(sim.now(), kSimSecond);
+  sim.Schedule(kSimMillisecond, [&order] { order.push_back(1); });
+  sim.Schedule(0, [&order] { order.push_back(0); });
+  sim.RunUntilIdle();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 99}));
+  EXPECT_EQ(sim.now(), 300 * kSimDay);
+}
+
 TEST(SchedulerDifferentialTest, LateArrivalBeforeAdvancedCursor) {
-  for (Simulator::QueueKind kind :
-       {Simulator::QueueKind::kHeap, Simulator::QueueKind::kCalendar}) {
-    Simulator sim(kind);
-    std::vector<int> order;
-    sim.Schedule(300 * kSimDay, [&order] { order.push_back(99); });
-    sim.RunUntil(kSimSecond);  // Advances cursor toward the far event.
-    EXPECT_EQ(sim.now(), kSimSecond);
-    sim.Schedule(kSimMillisecond, [&order] { order.push_back(1); });
-    sim.Schedule(0, [&order] { order.push_back(0); });
-    sim.RunUntilIdle();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 99}));
-    EXPECT_EQ(sim.now(), 300 * kSimDay);
-  }
+  ExpectLateArrivalRunsFirst<HeapSimulator>();
+  ExpectLateArrivalRunsFirst<Simulator>();
 }
 
 // Direct calendar-queue stress: enough churn to force grow and shrink

@@ -23,7 +23,7 @@
 //
 // The mutation lane bit-flips valid programs and requires the two engines
 // to keep agreeing (typically on a parse diagnostic) without crashing —
-// that is the case the sanitizer lane (scripts/check.sh --vm) hammers.
+// that is the case sanitized tier-1 (the full scripts/check.sh) hammers.
 
 #include <gtest/gtest.h>
 
