@@ -12,7 +12,10 @@
 //   * per-scale propagation percentiles (p50/p90/p99/p999) over every
 //     (commit, server) delivery,
 //   * scheduler throughput (events/sec) at each size — the calendar queue's
-//     near-linearity claim is the 100k:10k ratio,
+//     near-linearity claim is the 100k:10k ratio. Each push leg runs
+//     kPushRepetitions times; the sim event, message and byte counts must
+//     repeat exactly, and events/sec is the median with its IQR, so the
+//     ratio (taken from the medians) can tell a move from host noise,
 //   * push-vs-pull message/byte totals and staleness at each size,
 //   * the §3.4 ablation: 200 servers x 100 configs, an hour of updates, push
 //     against pull at 10/60/600 s poll intervals — messages, bytes and mean
@@ -44,6 +47,7 @@
 #include "src/mobile/mobileconfig.h"
 #include "src/obs/observability.h"
 #include "src/util/stats.h"
+#include "src/util/status.h"
 #include "src/util/strings.h"
 #include "src/util/table.h"
 #include "src/zeus/zeus.h"
@@ -71,6 +75,9 @@ constexpr Stream kPushStream = {4, 20, 20 * kSimSecond, 10 * kSimSecond,
 constexpr Stream kPullStream = {4, 4, kSimMinute, kSimMinute,
                                 90 * kSimSecond};
 constexpr SimTime kPullInterval = 60 * kSimSecond;
+
+// Wall-clock repetitions of each scale row's push leg.
+constexpr int kPushRepetitions = 5;
 
 struct ScaleShape {
   const char* label;
@@ -287,6 +294,47 @@ PullResult RunPull(const ScaleShape& shape, const Stream& stream,
   return result;
 }
 
+// The push leg at one scale, run kPushRepetitions times: the first run's
+// result plus the events/sec and wall time of every run.
+struct TimedPush {
+  PushResult push;
+  SampleSet events_per_sec;
+  SampleSet wall_s;
+};
+
+// Fails when a repetition's sim event, message or byte count differs from
+// the first run's: the simulation is deterministic, so only wall time may.
+Result<TimedPush> TimePush(const ScaleShape& shape) {
+  TimedPush timed;
+  for (int rep = 0; rep < kPushRepetitions; ++rep) {
+    PushResult push = RunPush(shape, kPushStream);
+    timed.events_per_sec.Add(push.events_per_sec);
+    timed.wall_s.Add(push.wall_s);
+    if (rep == 0) {
+      timed.push = std::move(push);
+      continue;
+    }
+    const PushResult& first = timed.push;
+    if (push.sim_events != first.sim_events ||
+        push.messages != first.messages || push.bytes != first.bytes) {
+      return InternalError(StrFormat(
+          "%s push leg repetition %d: events/messages/bytes %llu/%llu/%llu "
+          "vs %llu/%llu/%llu in the first run",
+          shape.label, rep, static_cast<unsigned long long>(push.sim_events),
+          static_cast<unsigned long long>(push.messages),
+          static_cast<unsigned long long>(push.bytes),
+          static_cast<unsigned long long>(first.sim_events),
+          static_cast<unsigned long long>(first.messages),
+          static_cast<unsigned long long>(first.bytes)));
+    }
+  }
+  return timed;
+}
+
+double Iqr(const SampleSet& samples) {
+  return samples.Percentile(75) - samples.Percentile(25);
+}
+
 Json HistJson(const SampleSet& samples) {
   Json json = Json::MakeObject();
   json.Set("count", Json(static_cast<int64_t>(samples.size())));
@@ -436,17 +484,24 @@ int main(int argc, char** argv) {
 
   Json scales_json = Json::MakeArray();
   TextTable table({"scale", "servers", "p50 (s)", "p90 (s)", "p99 (s)",
-                   "p999 (s)", "events/s", "push msgs", "pull msgs"});
+                   "p999 (s)", "events/s (median)", "IQR", "push msgs",
+                   "pull msgs"});
   double events_per_sec_10k = 0;
   double events_per_sec_100k = 0;
 
   for (const ScaleShape& shape : kScales) {
-    PushResult push = RunPush(shape, kPushStream);
+    Result<TimedPush> timed = TimePush(shape);
+    if (!timed.ok()) {
+      std::printf("FAIL: %s\n", timed.status().message().c_str());
+      return 1;
+    }
+    const PushResult& push = timed->push;
+    double events_per_sec = timed->events_per_sec.Percentile(50);
     PullResult pull = RunPull(shape, kPullStream, kPullInterval);
     if (std::strcmp(shape.label, "10k") == 0) {
-      events_per_sec_10k = push.events_per_sec;
+      events_per_sec_10k = events_per_sec;
     } else if (std::strcmp(shape.label, "100k") == 0) {
-      events_per_sec_100k = push.events_per_sec;
+      events_per_sec_100k = events_per_sec;
     }
 
     table.AddRow({shape.label, StrFormat("%zu", push.servers),
@@ -454,7 +509,8 @@ int main(int argc, char** argv) {
                   StrFormat("%.2f", push.latency.Percentile(90)),
                   StrFormat("%.2f", push.latency.Percentile(99)),
                   StrFormat("%.2f", push.latency.Percentile(99.9)),
-                  StrFormat("%.2e", push.events_per_sec),
+                  StrFormat("%.2e", events_per_sec),
+                  StrFormat("%.1e", Iqr(timed->events_per_sec)),
                   StrFormat("%llu",
                             static_cast<unsigned long long>(push.messages)),
                   StrFormat("%llu",
@@ -471,8 +527,10 @@ int main(int argc, char** argv) {
     push_json.Set("messages", Json(static_cast<int64_t>(push.messages)));
     push_json.Set("bytes", Json(static_cast<int64_t>(push.bytes)));
     push_json.Set("sim_events", Json(static_cast<int64_t>(push.sim_events)));
-    push_json.Set("wall_s", Json(push.wall_s));
-    push_json.Set("events_per_sec", Json(push.events_per_sec));
+    push_json.Set("repetitions", Json(int64_t{kPushRepetitions}));
+    push_json.Set("wall_s", Json(timed->wall_s.Percentile(50)));
+    push_json.Set("events_per_sec", Json(events_per_sec));
+    push_json.Set("events_per_sec_iqr", Json(Iqr(timed->events_per_sec)));
     push_json.Set("traces_recorded",
                   Json(static_cast<int64_t>(push.traces_recorded)));
     push_json.Set("traces_sampled_out",
@@ -492,8 +550,10 @@ int main(int argc, char** argv) {
   }
   table.Print();
 
-  std::printf("\nthroughput linearity: 10k %.2e events/s, 100k %.2e events/s "
-              "(%.2fx per-event cost at 10x the fleet)\n",
+  std::printf("\nthroughput linearity (medians of %d runs): 10k %.2e "
+              "events/s, 100k %.2e events/s (%.2fx per-event cost at 10x the "
+              "fleet)\n",
+              kPushRepetitions,
               events_per_sec_10k, events_per_sec_100k,
               events_per_sec_10k > 0 ? events_per_sec_10k / events_per_sec_100k
                                      : 0);
@@ -518,6 +578,10 @@ int main(int argc, char** argv) {
   out.Set("bench", Json(std::string("fig14_scale")));
   out.Set("scales", std::move(scales_json));
   Json linearity = Json::MakeObject();
+  linearity.Set("method",
+                Json(StrFormat("medians of %d push-leg repetitions per scale; "
+                               "sim counts identical across repetitions",
+                               kPushRepetitions)));
   linearity.Set("events_per_sec_10k", Json(events_per_sec_10k));
   linearity.Set("events_per_sec_100k", Json(events_per_sec_100k));
   linearity.Set("slowdown_at_10x_fleet",

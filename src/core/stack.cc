@@ -101,8 +101,7 @@ Result<PendingChange> ConfigManagementStack::ProposeChange(
   // the writes on head, collecting regenerated JSON outputs.
   ProposedDiff source_diff =
       MakeProposedDiff(repo_, author, message, source_writes, NowMs());
-  Sandcastle sandbox(&repo_, &deps_);
-  FileReader overlay = sandbox.OverlayReader(source_diff);
+  FileReader overlay = sandcastle_->OverlayReader(source_diff);
 
   std::set<std::string> entries;
   {

@@ -1,46 +1,55 @@
 #include "src/pipeline/risk.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/util/strings.h"
 #include "src/vcs/diff.h"
 
 namespace configerator {
 
+// How far back a first index walks; older history does not feed the scores.
+constexpr size_t kMaxHistoryCommits = 10'000;
+
 Status RiskAdvisor::IndexHistory(const Repository& repo) {
   if (repo.head() == last_indexed_) {
     return OkStatus();  // Already current.
   }
-  ASSIGN_OR_RETURN(std::vector<ObjectId> log,
-                   repo.Log(options_.max_history_commits));
-  // Keep only commits newer than the last indexed head, oldest first.
-  std::vector<ObjectId> fresh;
-  for (const ObjectId& commit_id : log) {
-    if (last_indexed_.has_value() && commit_id == *last_indexed_) {
-      break;
-    }
-    fresh.push_back(commit_id);
+  // First parents from head back to the last indexed head, newest first.
+  std::vector<std::pair<ObjectId, CommitObject>> fresh;
+  for (std::optional<ObjectId> id = repo.head();
+       id.has_value() && id != last_indexed_ &&
+       fresh.size() < kMaxHistoryCommits;) {
+    ASSIGN_OR_RETURN(CommitObject commit, repo.GetCommit(*id));
+    fresh.emplace_back(*id, std::move(commit));
+    const std::vector<ObjectId>& parents = fresh.back().second.parents;
+    id = parents.empty() ? std::nullopt : std::optional(parents.front());
   }
-  std::reverse(fresh.begin(), fresh.end());
   std::optional<ObjectId> previous = last_indexed_;
-  for (const ObjectId& commit_id : fresh) {
-    ASSIGN_OR_RETURN(CommitObject commit, repo.GetCommit(commit_id));
+  for (auto it = fresh.rbegin(); it != fresh.rend(); ++it) {
+    const auto& [commit_id, commit] = *it;
     ASSIGN_OR_RETURN(std::vector<FileDelta> deltas,
                      repo.DiffCommits(previous, commit_id));
     for (const FileDelta& delta : deltas) {
       PathHistory& entry = history_[delta.path];
       entry.update_times_ms.push_back(commit.timestamp_ms);
       entry.authors.insert(commit.author);
-      // Change size: line diff of this path across the commit.
-      auto line_diff = repo.DiffFile(previous, commit_id, delta.path);
-      if (line_diff.ok()) {
-        double lines = static_cast<double>(line_diff->changed_lines());
-        entry.mean_change_lines =
-            (entry.mean_change_lines * static_cast<double>(entry.change_count) +
-             lines) /
-            static_cast<double>(entry.change_count + 1);
-        ++entry.change_count;
+      // Change size: line diff of the two blobs; a missing side is empty.
+      std::string old_text;
+      std::string new_text;
+      if (delta.old_blob.has_value()) {
+        ASSIGN_OR_RETURN(old_text, repo.store().GetBlob(*delta.old_blob));
       }
+      if (delta.new_blob.has_value()) {
+        ASSIGN_OR_RETURN(new_text, repo.store().GetBlob(*delta.new_blob));
+      }
+      double lines =
+          static_cast<double>(DiffLines(old_text, new_text).changed_lines());
+      entry.mean_change_lines =
+          (entry.mean_change_lines * static_cast<double>(entry.change_count) +
+           lines) /
+          static_cast<double>(entry.change_count + 1);
+      ++entry.change_count;
     }
     previous = commit_id;
   }

@@ -44,15 +44,15 @@ class RiskAdvisor {
     double unusual_size_multiplier = 5.0;  // vs historical mean change.
     size_t fan_in_threshold = 10;          // Dependent entries.
     double high_risk_score = 2.0;
-    size_t max_history_commits = 10'000;
   };
 
   explicit RiskAdvisor(Options options) : options_(options) {}
   RiskAdvisor() : RiskAdvisor(Options{}) {}
 
-  // Builds (or incrementally extends) the history index from the repository
-  // log: only commits newer than the last indexed head are walked, so
-  // calling this per-proposal stays O(new commits), not O(history).
+  // Builds (or incrementally extends) the history index: first parents are
+  // walked from head back to the last indexed head only, and each commit's
+  // changed files are read through their delta blob ids, so calling this
+  // per-proposal stays O(new commits), not O(history).
   Status IndexHistory(const Repository& repo);
 
   // Scores a proposed diff. `deps` may be null (skips the fan-in signal).

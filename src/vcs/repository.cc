@@ -294,8 +294,11 @@ Status Repository::DiffTrees(const std::optional<ObjectId>& old_tree,
                        is_old ? std::nullopt : std::optional<ObjectId>(entry.id),
                        path, out);
     }
-    out->push_back(
-        {path, is_old ? FileDelta::Kind::kDeleted : FileDelta::Kind::kAdded});
+    if (is_old) {
+      out->push_back({path, FileDelta::Kind::kDeleted, entry.id, std::nullopt});
+    } else {
+      out->push_back({path, FileDelta::Kind::kAdded, std::nullopt, entry.id});
+    }
     return OkStatus();
   };
 
@@ -320,7 +323,7 @@ Status Repository::DiffTrees(const std::optional<ObjectId>& old_tree,
       RETURN_IF_ERROR(DiffTrees(oe.id, ne.id, path, out));
     } else if (!oe.is_tree && !ne.is_tree) {
       if (!(oe.id == ne.id)) {
-        out->push_back({path, FileDelta::Kind::kModified});
+        out->push_back({path, FileDelta::Kind::kModified, oe.id, ne.id});
       }
     } else {
       // File replaced by directory or vice versa.
@@ -349,30 +352,6 @@ Result<std::vector<FileDelta>> Repository::DiffCommits(
   std::vector<FileDelta> out;
   RETURN_IF_ERROR(DiffTrees(old_tree, new_tree, "", &out));
   return out;
-}
-
-Result<LineDiff> Repository::DiffFile(const std::optional<ObjectId>& old_commit,
-                                      const std::optional<ObjectId>& new_commit,
-                                      const std::string& path) const {
-  std::string old_text;
-  std::string new_text;
-  if (old_commit.has_value()) {
-    auto r = ReadFileAt(*old_commit, path);
-    if (r.ok()) {
-      old_text = std::move(r).value();
-    } else if (r.status().code() != StatusCode::kNotFound) {
-      return r.status();
-    }
-  }
-  if (new_commit.has_value()) {
-    auto r = ReadFileAt(*new_commit, path);
-    if (r.ok()) {
-      new_text = std::move(r).value();
-    } else if (r.status().code() != StatusCode::kNotFound) {
-      return r.status();
-    }
-  }
-  return DiffLines(old_text, new_text);
 }
 
 }  // namespace configerator

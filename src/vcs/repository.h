@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "src/vcs/diff.h"
 #include "src/vcs/objects.h"
 
 namespace configerator {
@@ -29,11 +28,14 @@ struct FileWrite {
   std::optional<std::string> content;
 };
 
-// A path-level difference between two commits.
+// A path-level difference between two commits. `old_blob` / `new_blob` are
+// set exactly when that side holds a file (not a directory) at `path`.
 struct FileDelta {
   enum class Kind { kAdded, kDeleted, kModified };
   std::string path;
   Kind kind = Kind::kModified;
+  std::optional<ObjectId> old_blob;
+  std::optional<ObjectId> new_blob;
 };
 
 class Repository {
@@ -63,6 +65,8 @@ class Repository {
 
   // Historical queries.
   Result<CommitObject> GetCommit(const ObjectId& id) const;
+  // One tree decode per path segment; history consumers read FileDelta blob
+  // ids instead.
   Result<std::string> ReadFileAt(const ObjectId& commit_id,
                                  const std::string& path) const;
   // Commit ids from head backwards (first parent), newest first.
@@ -73,11 +77,6 @@ class Repository {
   Result<std::vector<FileDelta>> DiffCommits(
       const std::optional<ObjectId>& old_commit,
       const std::optional<ObjectId>& new_commit) const;
-
-  // Line diff of one path between two commits.
-  Result<LineDiff> DiffFile(const std::optional<ObjectId>& old_commit,
-                            const std::optional<ObjectId>& new_commit,
-                            const std::string& path) const;
 
   const ObjectStore& store() const { return store_; }
 

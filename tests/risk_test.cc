@@ -61,10 +61,36 @@ TEST_F(RiskTest, IncrementalIndexingMatchesFullReindex) {
     EXPECT_EQ(a->update_times_ms, b->update_times_ms) << path;
     EXPECT_EQ(a->authors, b->authors) << path;
     EXPECT_EQ(a->change_count, b->change_count) << path;
+    EXPECT_DOUBLE_EQ(a->mean_change_lines, b->mean_change_lines) << path;
   }
   // Re-indexing with no new commits is a no-op.
   ASSERT_TRUE(incremental.IndexHistory(repo_).ok());
   EXPECT_EQ(incremental.HistoryFor("cfg")->update_times_ms.size(), 2u);
+}
+
+TEST_F(RiskTest, ChangeSizeIsUnixLineDiff) {
+  Touch("cfg", "alice", 1, "a\nb\n");  // Two lines added.
+  Touch("cfg", "alice", 2, "a\nc\n");  // One delete plus one add.
+  RiskAdvisor advisor;
+  ASSERT_TRUE(advisor.IndexHistory(repo_).ok());
+  const RiskAdvisor::PathHistory* history = advisor.HistoryFor("cfg");
+  ASSERT_NE(history, nullptr);
+  EXPECT_EQ(history->change_count, 2u);
+  EXPECT_DOUBLE_EQ(history->mean_change_lines, 2.0);
+}
+
+TEST_F(RiskTest, FileReplacedByDirectoryCountsItsDeletion) {
+  Touch("x", "alice", 1, "one\ntwo\n");
+  ASSERT_TRUE(repo_.Commit("bob", "m", {{"x", std::nullopt}, {"x/y", "v\n"}},
+                           2 * kDay)
+                  .ok());
+  RiskAdvisor advisor;
+  ASSERT_TRUE(advisor.IndexHistory(repo_).ok());
+  const RiskAdvisor::PathHistory* history = advisor.HistoryFor("x");
+  ASSERT_NE(history, nullptr);
+  EXPECT_EQ(history->update_times_ms.size(), 2u);
+  EXPECT_EQ(history->change_count, history->update_times_ms.size());
+  EXPECT_DOUBLE_EQ(history->mean_change_lines, 2.0);  // Added 2, deleted 2.
 }
 
 TEST_F(RiskTest, FreshConfigByKnownAuthorIsLowRisk) {

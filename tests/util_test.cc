@@ -84,6 +84,18 @@ TEST(ResultTest, MacrosPropagateErrors) {
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
 }
 
+// Dereferencing an error Result is a program bug; the sanitized build keeps
+// asserts on (-UNDEBUG) so it aborts there instead of reading the wrong
+// variant member.
+TEST(ResultDeathTest, ValueOnErrorAborts) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "value()'s ok check is an assert, compiled out by NDEBUG";
+#else
+  Result<int> r(NotFoundError("nope"));
+  EXPECT_DEATH((void)r.value(), "ok\\(\\)");
+#endif
+}
+
 // ---- SHA-256 ----------------------------------------------------------------
 
 TEST(Sha256Test, EmptyStringVector) {

@@ -311,15 +311,48 @@ TEST(RepositoryTest, DiffAgainstEmptyHistory) {
   EXPECT_EQ((*deltas)[0].kind, FileDelta::Kind::kAdded);
 }
 
-TEST(RepositoryTest, DiffFileLineLevel) {
+TEST(RepositoryTest, DiffCommitsCarriesBlobIds) {
   Repository repo;
-  auto c1 = repo.Commit("a", "1", {{"cfg", "a\nb\n"}});
-  auto c2 = repo.Commit("a", "2", {{"cfg", "a\nc\n"}});
+  auto c1 = repo.Commit("a", "1",
+                        {{"keep", "same"}, {"mod", "v1"}, {"del", "x"},
+                         {"f2d", "file"}, {"d2f/inner", "nested"}});
   ASSERT_TRUE(c1.ok());
-  ASSERT_TRUE(c2.ok());
-  auto diff = repo.DiffFile(*c1, *c2, "cfg");
-  ASSERT_TRUE(diff.ok());
-  EXPECT_EQ(diff->changed_lines(), 2u);
+  // File -> directory in one batch; directory -> file needs the directory
+  // emptied first.
+  ASSERT_TRUE(repo.Commit("a", "2",
+                          {{"mod", "v2"}, {"del", std::nullopt}, {"new", "y"},
+                           {"f2d", std::nullopt}, {"f2d/child", "c"},
+                           {"d2f/inner", std::nullopt}})
+                  .ok());
+  auto c3 = repo.Commit("a", "3", {{"d2f", "now a file"}});
+  ASSERT_TRUE(c3.ok());
+
+  auto deltas = repo.DiffCommits(*c1, *c3);
+  ASSERT_TRUE(deltas.ok());
+  std::map<std::string, FileDelta::Kind> by_path;
+  for (const FileDelta& d : *deltas) {
+    by_path[d.path] = d.kind;
+    // Each side's id is set exactly when the path-addressed read finds a
+    // file there, and names the same content.
+    for (const auto& [blob, commit] :
+         {std::pair{d.old_blob, *c1}, std::pair{d.new_blob, *c3}}) {
+      auto by_path_read = repo.ReadFileAt(commit, d.path);
+      ASSERT_EQ(blob.has_value(), by_path_read.ok()) << d.path;
+      if (blob.has_value()) {
+        auto by_id = repo.store().GetBlob(*blob);
+        ASSERT_TRUE(by_id.ok()) << d.path;
+        EXPECT_EQ(*by_id, *by_path_read) << d.path;
+      }
+    }
+  }
+  std::map<std::string, FileDelta::Kind> expected = {
+      {"mod", FileDelta::Kind::kModified},  {"del", FileDelta::Kind::kDeleted},
+      {"new", FileDelta::Kind::kAdded},     {"f2d", FileDelta::Kind::kDeleted},
+      {"f2d/child", FileDelta::Kind::kAdded},
+      {"d2f/inner", FileDelta::Kind::kDeleted},
+      {"d2f", FileDelta::Kind::kAdded}};
+  EXPECT_EQ(by_path, expected);
+  EXPECT_EQ(deltas->size(), expected.size());
 }
 
 TEST(RepositoryTest, NestedDirectoriesPrunedOnDelete) {
